@@ -28,6 +28,7 @@ from .errors import (
     BasisMismatch,
     Diverged,
     DuplicateAtom,
+    InvalidArgument,
     IrrationalSupport,
     LimitNotSeparated,
     MassSumNotOne,

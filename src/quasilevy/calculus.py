@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Diverged, NegativeMassBeyondTolerance
+from .errors import Diverged, InvalidArgument, NegativeMassBeyondTolerance
 from .measures import Coords, DiscreteLaw, SignedAtomicMeasure, convolve
 from .spectral import QuasiTriplet
 
@@ -33,9 +33,9 @@ class ExpSeriesParams:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise InvalidArgument("tol must be positive")
         if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+            raise InvalidArgument("max_terms must be at least 1")
 
 
 def _series_order(norm: float, prefactor: float, params: ExpSeriesParams) -> int:
@@ -238,7 +238,7 @@ def conv_power(
     False.  Signed outputs are classified, never renormalized.
     """
     if s < 0:
-        raise ValueError("the power s must be nonnegative")
+        raise InvalidArgument("the power s must be nonnegative")
     if params is None:
         params = ExpSeriesParams()
     s_exact = Fraction(s) if not isinstance(s, Fraction) else s

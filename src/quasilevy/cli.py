@@ -18,8 +18,8 @@ import numpy as np
 
 from . import jsonio
 from .calculus import ExpSeriesParams, conv_power, is_infinitely_divisible, reconstruct_law
-from .charfn import SeparationParams, certify_separation, cf_eval
-from .errors import NotSeparated, ParseError, QuasiLevyError, StepTooCoarse, ZeroOnPath
+from .charfn import SeparationParams, certify_separation
+from .errors import InvalidArgument, NotSeparated, ParseError, QuasiLevyError, StepTooCoarse, ZeroOnPath
 from .limits import (
     LawSequence,
     Thresholds,
@@ -30,7 +30,7 @@ from .limits import (
     tv_distance,
 )
 from .measures import DiscreteLaw
-from .spectral import TripletParams, distinguished_log
+from .spectral import TripletParams, continued_arg
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -54,35 +54,15 @@ def emit_curves(law: DiscreteLaw, t_min: float, t_max: float, samples: int, zero
     column is the distinguished-log phase, not a principal value.
     """
     if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if t_min < 0 or t_max <= t_min:
-        raise ValueError("need 0 <= t_min < t_max")
+        raise InvalidArgument("need at least 2 samples")
+    if not (0 <= t_min < t_max < math.inf):
+        raise InvalidArgument("need 0 <= t_min < t_max < inf")
     ts_out = np.linspace(t_min, t_max, samples)
-    amp = sum(float(m) * abs(float(law.basis.value(c))) for c, m in law.atoms.items())
-    step = min(0.05, 0.3 / max(amp, 1e-9))
-    for _ in range(16):
-        dense = np.unique(np.concatenate([np.arange(0.0, t_max + step, step), ts_out]))
-        vals = cf_eval(law, dense)
-        if float(np.min(np.abs(vals))) < zero_tol:
-            raise ZeroOnPath("the characteristic function dips below the zero tolerance")
-        try:
-            logs = distinguished_log(vals, zero_tol=zero_tol)
-            break
-        except StepTooCoarse:
-            if float(np.min(np.abs(vals))) < 1e-6:
-                raise ZeroOnPath(
-                    "phase cannot be continued: the characteristic function "
-                    "passes too close to zero"
-                ) from None
-            step *= 0.5
-    else:
-        raise StepTooCoarse("curve sampling did not stabilize")
-    idx = np.searchsorted(dense, ts_out)
-    rows = []
-    for t, i in zip(ts_out, idx):
-        v = vals[i]
-        rows.append((float(t), float(v.real), float(v.imag), float(abs(v)), float(logs[i].imag)))
-    return rows
+    vals, args = continued_arg(law, ts_out, zero_tol)
+    return [
+        (float(t), float(v.real), float(v.imag), float(abs(v)), float(a))
+        for t, v, a in zip(ts_out, vals, args)
+    ]
 
 
 def _write_text(path, text: str) -> None:
@@ -258,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quasilevy",
         description="Spectral representations of discrete probability laws",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are deterministic regardless")
     sub = parser.add_subparsers(dest="command", required=True)
 
     tol_default = _env_float("QUASILEVY_TOL", 1e-10)

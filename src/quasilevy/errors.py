@@ -11,6 +11,10 @@ class QuasiLevyError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(QuasiLevyError, ValueError):
+    """An argument outside its documented range; also a ValueError for library callers."""
+
+
 # --- measure construction / arithmetic -------------------------------------
 
 class NegativeMass(QuasiLevyError):

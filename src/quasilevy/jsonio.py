@@ -9,6 +9,8 @@ so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
@@ -43,7 +45,11 @@ def scalar_to_json(x) -> Any:
 def scalar_from_json(obj, where: str):
     if isinstance(obj, bool):
         raise ParseError(f"{where}: expected a number, got {obj!r}")
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ParseError(f"{where}: expected a finite number, got {obj!r}")
         return obj
     if isinstance(obj, dict) and set(obj) == {"num", "den"}:
         num, den = obj["num"], obj["den"]
@@ -51,6 +57,15 @@ def scalar_from_json(obj, where: str):
             raise ParseError(f"{where}: malformed rational {obj!r}")
         return Fraction(num, den)
     raise ParseError(f"{where}: expected a number or {{num, den}}, got {obj!r}")
+
+
+@contextmanager
+def _building(where: str):
+    """Report a ValueError or ArithmeticError raised while building an object as a ParseError."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _coords_from_json(obj, where: str) -> tuple[int, ...]:
@@ -66,10 +81,9 @@ def _basis_from_json(doc: dict, where: str) -> FrequencyBasis:
     independent = doc.get("declared_independent", True)
     if not isinstance(independent, bool):
         raise ParseError(f"{where}: 'declared_independent' must be a boolean")
-    return FrequencyBasis(
-        tuple(scalar_from_json(a, f"{where}.basis[{i}]") for i, a in enumerate(alphas)),
-        declared_independent=independent,
-    )
+    alphas = tuple(scalar_from_json(a, f"{where}.basis[{i}]") for i, a in enumerate(alphas))
+    with _building(f"{where}.basis"):
+        return FrequencyBasis(alphas, declared_independent=independent)
 
 
 def _basis_to_json(basis: FrequencyBasis, doc: dict) -> dict:
@@ -103,7 +117,8 @@ def law_from_json(doc) -> DiscreteLaw:
             raise ParseError(f"lattice shorthand: non-integer index ({exc})") from None
         offset = scalar_from_json(doc.get("offset", 0), "offset")
         span = scalar_from_json(doc.get("span", 1), "span")
-        return DiscreteLaw.from_lattice(indexed, offset=offset, span=span)
+        with _building("lattice shorthand"):
+            return DiscreteLaw.from_lattice(indexed, offset=offset, span=span)
     basis = _basis_from_json(doc, "law")
     atoms = doc.get("atoms")
     if not isinstance(atoms, list) or not atoms:
@@ -116,7 +131,8 @@ def law_from_json(doc) -> DiscreteLaw:
             (_coords_from_json(a["coords"], f"law.atoms[{i}]"),
              scalar_from_json(a["mass"], f"law.atoms[{i}].mass"))
         )
-    return DiscreteLaw.from_pairs(basis, pairs)
+    with _building("law.atoms"):
+        return DiscreteLaw.from_pairs(basis, pairs)
 
 
 def measure_to_json(m: SignedAtomicMeasure) -> dict:
@@ -142,7 +158,8 @@ def measure_from_json(doc) -> SignedAtomicMeasure:
             (_coords_from_json(a["coords"], f"measure.atoms[{i}]"),
              scalar_from_json(a["weight"], f"measure.atoms[{i}].weight"))
         )
-    return SignedAtomicMeasure(basis, pairs)
+    with _building("measure.atoms"):
+        return SignedAtomicMeasure(basis, pairs)
 
 
 # --- triplets ------------------------------------------------------------------
@@ -180,7 +197,8 @@ def triplet_from_json(doc) -> QuasiTriplet:
         value = scalar_from_json(entry["value"], f"triplet.lambdas[{i}].value")
         lambdas[coords] = float(value)
     tail = scalar_from_json(doc.get("tail_bound", 0.0), "triplet.tail_bound")
-    return QuasiTriplet(basis, gamma, lambdas, tail_bound=float(tail))
+    with _building("triplet"):
+        return QuasiTriplet(basis, gamma, lambdas, tail_bound=float(tail))
 
 
 # --- certificates and reports -----------------------------------------------------

@@ -3,11 +3,16 @@
 A discrete law whose characteristic function f is separated from zero has
 a global distinguished logarithm, and Ln f is an almost periodic function
 whose Fourier coefficients live on the support module.  Numerically this
-becomes: lift f to the torus, unwrap the phase along the grid, peel off
-the integer winding numbers, and read the remaining coefficients from a
-DFT.  The winding numbers give the shift gamma as an exact integer
-combination of the basis; the DFT coefficients give the real spectral
-weights lambda_u with an l1 tail that is tracked explicitly.
+becomes one extraction core for every dimension d: place the masses at
+their integer coords mod n on an n^d grid, lift f to the torus as the
+inverse DFT of that grid, continue the phase axis by axis, peel off the
+integer winding numbers of the axis loops, and read the remaining
+coefficients from a DFT.  The grid doubles until the phase-jump,
+imaginary-part, alias and reconstruction-residual guards all pass.  The
+winding numbers give the shift gamma as an exact integer combination of
+the basis; the DFT coefficients give the real spectral weights lambda_u
+with an l1 tail that is tracked explicitly.  triplet_lattice and
+triplet_multibasis differ only in how they place the atoms and read gamma.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .charfn import SeparationParams, cf_eval, require_separated, torus_lift
-from .errors import NonConvergent, NonpositiveTau, StepTooCoarse, ZeroOnPath
+from .charfn import SeparationParams, cf_eval, require_separated
+from .errors import InvalidArgument, NonConvergent, NonpositiveTau, StepTooCoarse, ZeroOnPath
 from .measures import (
     Coords,
     DiscreteLaw,
@@ -69,7 +74,11 @@ def distinguished_log(values, step_guard: float = DEFAULT_STEP_GUARD, zero_tol: 
 def winding_number(loop_values, step_guard: float = DEFAULT_STEP_GUARD) -> int:
     """Integer phase increment (in turns) around a closed sampled loop."""
     vals = np.asarray(loop_values, dtype=complex)
-    dphi = np.angle(np.roll(vals, -1) / vals)
+    return _turns(np.angle(np.roll(vals, -1) / vals), step_guard)
+
+
+def _turns(dphi: np.ndarray, step_guard: float = DEFAULT_STEP_GUARD) -> int:
+    """Winding number from the wrapped phase increments around a closed loop."""
     if float(np.max(np.abs(dphi))) >= step_guard:
         raise StepTooCoarse("loop sampled too coarsely for a reliable winding number")
     total = float(np.sum(dphi))
@@ -77,6 +86,39 @@ def winding_number(loop_values, step_guard: float = DEFAULT_STEP_GUARD) -> int:
     if abs(total - TWO_PI * m) > 1e-6:
         raise StepTooCoarse(f"loop phase increment {total} is not close to a multiple of 2*pi")
     return m
+
+
+def continued_arg(law: DiscreteLaw, ts, zero_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """f and its continuous-phase Arg at the sorted points ts >= 0.
+
+    The phase is continued from t = 0 along a uniform grid merged with ts.
+    The step starts at min(0.05, 0.3 / sum p_k |x_k|) and halves until
+    every adjacent phase increment passes the distinguished_log guard.
+    ZeroOnPath is raised if |f| dips below zero_tol on the grid, or if a
+    refinement fails where |f| < 1e-6; StepTooCoarse after 16 halvings.
+    """
+    ts = np.asarray(ts, dtype=float)
+    amp = sum(float(m) * abs(float(law.basis.value(c))) for c, m in law.atoms.items())
+    step = min(0.05, 0.3 / max(amp, 1e-9))
+    for _ in range(16):
+        dense = np.unique(np.concatenate([np.arange(0.0, ts[-1] + step, step), ts]))
+        vals = cf_eval(law, dense)
+        if float(np.min(np.abs(vals))) < zero_tol:
+            raise ZeroOnPath("the characteristic function dips below the zero tolerance")
+        try:
+            logs = distinguished_log(vals, zero_tol=zero_tol)
+            break
+        except StepTooCoarse:
+            if float(np.min(np.abs(vals))) < 1e-6:
+                raise ZeroOnPath(
+                    "phase cannot be continued: the characteristic function "
+                    "passes too close to zero"
+                ) from None
+            step *= 0.5
+    else:
+        raise StepTooCoarse("phase continuation did not stabilize")
+    idx = np.searchsorted(dense, ts)
+    return vals[idx], logs[idx].imag
 
 
 # --- triplet container ---------------------------------------------------------
@@ -185,120 +227,110 @@ class TripletParams:
 
     def initial_n(self, d: int, spread: int) -> int:
         n = self.n_init if self.n_init is not None else (1024 if d <= 2 else 128)
+        if n < 1:
+            raise InvalidArgument(f"n_init must be positive, got {n}")
         while n < 4 * (spread + 1):
             n *= 2
         return n
 
 
-# --- lattice (d = 1, arithmetic-progression support) ---------------------------
+# --- one extraction core for every d ---------------------------------------------
 
 
-def _lattice_arrays(law: DiscreteLaw) -> tuple[np.ndarray, int]:
-    """Masses re-indexed from 0 on the lattice, plus the index spread."""
-    masses = lattice_masses(law)
-    lmin = min(masses)
-    spread = max(masses) - lmin
-    q = np.zeros(spread + 1)
-    for l, m in masses.items():
-        q[l - lmin] = float(m)
-    return q, lmin
+def _extract_pass(q: np.ndarray, params: TripletParams):
+    """One extraction attempt on the n^d grid q of masses placed at coords mod n.
 
-
-def _lattice_pass(q: np.ndarray, n: int, params: TripletParams):
-    """One lattice extraction attempt at grid size n; None if n must double."""
-    g = n * np.fft.ifft(q, n)  # g(theta_j) = sum_l q_l e^(i l theta_j)
+    Returns (None, result) when every guard passes, else (guard, value)
+    naming the check that forces the grid to double: "phase_jump", "imag",
+    "alias" or "residual".
+    """
+    n, d = q.shape[0], q.ndim
+    g = n ** d * np.fft.ifftn(q)  # g(theta) = sum_c q_c e^(i <c, theta>), exact on the grid
     mods = np.abs(g)
     if float(mods.min()) < 1e-13:
-        raise ZeroOnPath("characteristic function vanishes on the sampling grid")
-    dphi = np.angle(np.roll(g, -1) / g)
-    if float(np.max(np.abs(dphi))) >= 0.5 * math.pi:
-        return None
-    m = round(float(np.sum(dphi)) / TWO_PI)
-    phase = np.empty(n)
-    phase[0] = 0.0
-    np.cumsum(dphi[:-1], out=phase[1:])
-    theta = TWO_PI * np.arange(n) / n
-    h = np.log(mods) + 1j * (phase - m * theta)
-    coeffs = np.fft.fft(h) / n
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        raise ZeroOnPath("torus lift vanishes on the sampling grid")
+    dphis = [np.angle(np.roll(g, -1, axis=j) / g) for j in range(d)]
+    jump = max(float(np.max(np.abs(dphi))) for dphi in dphis)
+    if jump >= 0.5 * math.pi:
+        return "phase_jump", jump
 
-    nonzero = freqs != 0
-    if float(np.max(np.abs(coeffs[nonzero].imag), initial=0.0)) > REAL_PART_TOL:
-        return None  # phase-unwrap fault; refine
-    outer = np.abs(freqs) > (3 * n) // 8
+    # Windings from the axis loops through the origin.  The continuous phase
+    # runs from the origin along the last axis, then the one before, and so on:
+    # an exclusive cumsum along axis j over the slab where axes < j sit at 0.
+    axis = TWO_PI * np.arange(n) / n
+    windings = []
+    phase = np.zeros(q.shape)
+    theta_sum = np.zeros(q.shape)
+    for j, dphi in enumerate(dphis):
+        windings.append(_turns(dphi[tuple(slice(None) if i == j else 0 for i in range(d))]))
+        shape = [1] * d
+        shape[j] = n
+        theta_sum += windings[j] * axis.reshape(shape)
+        slab = dphi[(slice(0, 1),) * j]
+        lead = (slice(None),) * j
+        run = np.zeros(slab.shape)
+        np.cumsum(slab[lead + (slice(None, -1),)], axis=j, out=run[lead + (slice(1, None),)])
+        phase += run
+    h = np.log(mods) + 1j * (phase - theta_sum)
+
+    coeffs = np.fft.fftn(h) / n ** d
+    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    zero = np.ones(q.shape, dtype=bool)
+    outer = np.zeros(q.shape, dtype=bool)
+    for k in np.meshgrid(*([freqs] * d), indexing="ij", sparse=True):
+        zero &= k == 0
+        outer |= np.abs(k) > (3 * n) // 8
+    nonzero = ~zero
+
+    max_imag = float(np.max(np.abs(coeffs.imag[nonzero]), initial=0.0))
+    if max_imag > REAL_PART_TOL:
+        return "imag", max_imag  # phase-unwrap fault
     alias_mass = float(np.sum(np.abs(coeffs[outer & nonzero])))
     if alias_mass > params.tol:
-        return None
+        return "alias", alias_mass
 
-    lam = coeffs.real.copy()
     keep = nonzero & (np.abs(coeffs) >= params.drop_tol)
     dropped = float(np.sum(np.abs(coeffs[nonzero & ~keep])))
-
     masked = np.where(keep, coeffs.real, 0.0).astype(complex)
-    masked[0] = -float(np.sum(lam[keep]))
-    s_grid = n * np.fft.ifft(masked)
-    g_rec = np.exp(s_grid + 1j * m * theta)
-    q_rec = np.fft.fft(g_rec) / n
-    q_pad = np.zeros(n, dtype=complex)
-    q_pad[: len(q)] = q
-    residual = float(np.sum(np.abs(q_rec - q_pad)))
+    masked[(0,) * d] = -float(np.sum(coeffs.real[keep]))
+    g_rec = np.exp(n ** d * np.fft.ifftn(masked) + 1j * theta_sum)
+    residual = float(np.sum(np.abs(np.fft.fftn(g_rec) / n ** d - q)))
     if residual > params.tol:
-        return None
+        return "residual", residual
 
-    lambdas = {int(k): float(lam[i]) for i, k in enumerate(freqs) if keep[i]}
-    return m, lambdas, dropped + alias_mass, residual, float(np.max(np.abs(coeffs[nonzero].imag), initial=0.0))
+    lambdas = {
+        tuple(int(f) for f in freqs[idx]): float(coeffs.real[tuple(idx)]) for idx in np.argwhere(keep)
+    }
+    return None, (tuple(windings), lambdas, dropped + alias_mass, residual, max_imag)
 
 
-def triplet_lattice(
-    law: DiscreteLaw,
-    params: TripletParams | None = None,
-    input_tv_error: float = 0.0,
-) -> QuasiTriplet:
-    """Triplet of a law on an arithmetic progression a + b*Z.
+def _extract(atoms: Mapping[Coords, Scalar], params: TripletParams, input_tv_error: float):
+    """Double the grid from initial_n until a pass clears every guard.
 
-    Separation is certified first.  gamma = a + b*m with m the winding
-    number of the period function; lambda_{b*k} comes from the DFT of the
-    distinguished log minus the winding term.  The grid doubles until the
-    phase steps, the alias guard, and the reconstruction residual pass.
-    input_tv_error is the total-variation error of an upstream support
-    truncation; it enters tail_bound through the Wiener-norm log bound.
+    atoms maps integer coords to masses.  Returns the windings, the
+    lambdas keyed by integer frequency vectors, the tail bound, and the
+    diagnostics, whose "passes" lists every rejected pass as
+    {n, guard, value}.
     """
-    if params is None:
-        params = TripletParams()
-    law = to_lattice_form(law)
-    cert = require_separated(law, params.separation)
-    lf = law.lattice_form
-    q, lmin = _lattice_arrays(law)
-
-    n = params.initial_n(1, len(q) - 1)
-    result = None
+    coords = np.array(list(atoms), dtype=int)
+    masses = np.array([float(m) for m in atoms.values()])
+    d = coords.shape[1]
+    n = params.initial_n(d, int(np.max(np.ptp(coords, axis=0), initial=0)))
+    passes = []
     while n <= params.n_max:
-        result = _lattice_pass(q, n, params)
-        if result is not None:
-            break
+        if n ** d > (1 << 22):
+            raise NonConvergent(f"grid {n}^{d} exceeds the memory budget")
+        q = np.zeros([n] * d)
+        np.add.at(q, tuple((coords % n).T), masses)
+        guard, value = _extract_pass(q, params)
+        if guard is None:
+            windings, lambdas, tail, residual, max_imag = value
+            tail += _truncation_tail(input_tv_error, sum(abs(v) for v in lambdas.values()))
+            diagnostics = {"grid_n": n, "residual": residual, "max_imag": max_imag, "passes": passes}
+            return windings, lambdas, tail, diagnostics
+        passes.append({"n": n, "guard": guard, "value": value})
         n *= 2
-    if result is None:
-        raise NonConvergent(f"lattice triplet did not converge by n_max={params.n_max}")
-    m_g, lambdas_k, tail, residual, max_imag = result
-
-    span = lf.span_coord
-    offset = lf.offset_coord + span * lmin  # index 0 sits at lmin, not at the lattice origin
-    gamma_coords = (offset + span * m_g,)
-    lambdas = {(span * k,): v for k, v in lambdas_k.items()}
-    tail += _truncation_tail(input_tv_error, sum(abs(v) for v in lambdas_k.values()))
-    return QuasiTriplet(
-        law.basis,
-        gamma_coords,
-        lambdas,
-        tail_bound=tail,
-        diagnostics={
-            "grid_n": n,
-            "residual": residual,
-            "max_imag": max_imag,
-            "winding": m_g,
-            "certificate": cert,
-        },
-    )
+    raise NonConvergent(f"triplet extraction did not converge by n_max={params.n_max}")
 
 
 def _truncation_tail(input_tv_error: float, ell1: float) -> float:
@@ -319,25 +351,40 @@ def _truncation_tail(input_tv_error: float, ell1: float) -> float:
     return -math.log1p(-qv)
 
 
-# --- general basis (d >= 1) ------------------------------------------------------
+def triplet_lattice(
+    law: DiscreteLaw,
+    params: TripletParams | None = None,
+    input_tv_error: float = 0.0,
+) -> QuasiTriplet:
+    """Triplet of a law on an arithmetic progression a + b*Z.
 
-
-def _unwrap_grid(phase: np.ndarray) -> np.ndarray:
-    """Continuous phase on a sampled cube, seeded from the theta=0 corner."""
-    def wrap(x):
-        return np.angle(np.exp(1j * x))
-
-    if phase.ndim == 1:
-        out = np.empty_like(phase)
-        out[0] = phase[0]
-        out[1:] = phase[0] + np.cumsum(wrap(np.diff(phase)))
-        return out
-    plane = _unwrap_grid(phase[0])
-    out = np.concatenate(
-        [phase[:1], phase[:1] + np.cumsum(wrap(np.diff(phase, axis=0)), axis=0)], axis=0
+    Separation is certified first.  The masses are re-indexed from the
+    smallest lattice index, so the grid tracks the index spread; gamma =
+    a + b*m with m the winding number of the period function, and
+    lambda_{b*k} comes from the DFT of the distinguished log minus the
+    winding term.  input_tv_error is the total-variation error of an
+    upstream support truncation; it enters tail_bound through the
+    Wiener-norm log bound.
+    """
+    if params is None:
+        params = TripletParams()
+    law = to_lattice_form(law)
+    cert = require_separated(law, params.separation)
+    masses = lattice_masses(law)
+    lmin = min(masses)
+    (m_g,), lambdas_k, tail, diagnostics = _extract(
+        {(l - lmin,): m for l, m in masses.items()}, params, input_tv_error
     )
-    out += (plane - phase[0])[None, ...]
-    return out
+    lf = law.lattice_form
+    span = lf.span_coord
+    offset = lf.offset_coord + span * lmin  # index 0 sits at lmin, not at the lattice origin
+    return QuasiTriplet(
+        law.basis,
+        (offset + span * m_g,),
+        {(span * k,): v for (k,), v in lambdas_k.items()},
+        tail_bound=tail,
+        diagnostics={**diagnostics, "winding": m_g, "certificate": cert},
+    )
 
 
 def triplet_multibasis(
@@ -347,104 +394,23 @@ def triplet_multibasis(
 ) -> QuasiTriplet:
     """Triplet over a declared d-dimensional frequency basis.
 
-    The d = 1 case agrees with triplet_lattice (same frequency coords,
-    same exact gamma); for d >= 2 the winding numbers are read off the
-    axis loops of the torus lift and the weights from the d-dimensional
-    DFT of its distinguished log.
+    The atoms go to the extraction core at their raw coords (mod n), so
+    the winding numbers of the axis loops are the gamma coords and the
+    d-dimensional DFT of the distinguished log gives the weights.  The
+    d = 1 case agrees with triplet_lattice (same frequency coords, same
+    exact gamma).
     """
     if params is None:
         params = TripletParams()
     cert = require_separated(law, params.separation)
-    phi = torus_lift(law)
-    d = phi.d
-    coords_arr = np.array(list(law.atoms.keys()), dtype=int)
-    spread = int(np.max(coords_arr.max(axis=0) - coords_arr.min(axis=0), initial=0))
-
-    n = params.initial_n(d, spread)
-    while n <= params.n_max:
-        if n ** d > (1 << 22):
-            raise NonConvergent(f"grid {n}^{d} exceeds the memory budget")
-        axis = TWO_PI * np.arange(n) / n
-        vals = phi.eval_grid([axis] * d)
-        mods = np.abs(vals)
-        if float(mods.min()) < 1e-13:
-            raise ZeroOnPath("torus lift vanishes on the sampling grid")
-
-        jump_ok = True
-        for j in range(d):
-            dphi = np.angle(np.roll(vals, -1, axis=j) / vals)
-            if float(np.max(np.abs(dphi))) >= 0.5 * math.pi:
-                jump_ok = False
-                break
-        if not jump_ok:
-            n *= 2
-            continue
-
-        windings = []
-        for j in range(d):
-            idx = tuple(slice(None) if i == j else 0 for i in range(d))
-            windings.append(winding_number(vals[idx]))
-        m_vec = np.array(windings)
-
-        theta_sum = np.zeros([n] * d)
-        for j in range(d):
-            shape = [1] * d
-            shape[j] = n
-            theta_sum = theta_sum + m_vec[j] * axis.reshape(shape)
-        h = np.log(mods) + 1j * (_unwrap_grid(np.angle(vals)) - theta_sum)
-
-        coeffs = np.fft.fftn(h) / n ** d
-        freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        grids = np.meshgrid(*([freqs] * d), indexing="ij")
-        zero_mask = np.ones([n] * d, dtype=bool)
-        outer_mask = np.zeros([n] * d, dtype=bool)
-        for gk in grids:
-            zero_mask &= gk == 0
-            outer_mask |= np.abs(gk) > (3 * n) // 8
-        nonzero = ~zero_mask
-
-        max_imag = float(np.max(np.abs(coeffs.imag[nonzero]), initial=0.0))
-        alias_mass = float(np.sum(np.abs(coeffs[outer_mask & nonzero])))
-        if max_imag > REAL_PART_TOL or alias_mass > params.tol:
-            n *= 2
-            continue
-
-        keep = nonzero & (np.abs(coeffs) >= params.drop_tol)
-        dropped = float(np.sum(np.abs(coeffs[nonzero & ~keep])))
-
-        masked = np.where(keep, coeffs.real, 0.0).astype(complex)
-        masked[(0,) * d] = -float(np.sum(coeffs.real[keep]))
-        s_grid = (n ** d) * np.fft.ifftn(masked)
-        g_rec = np.exp(s_grid + 1j * theta_sum)
-        q_rec = np.fft.fftn(g_rec) / n ** d
-        q_pad = np.zeros([n] * d, dtype=complex)
-        for ck, p in zip(coords_arr, phi.masses):
-            q_pad[tuple(int(c) % n for c in ck)] += p
-        residual = float(np.sum(np.abs(q_rec - q_pad)))
-        if residual > params.tol:
-            n *= 2
-            continue
-
-        kept_idx = np.argwhere(keep)
-        lambdas = {
-            tuple(int(freqs[i]) for i in idx): float(coeffs.real[tuple(idx)]) for idx in kept_idx
-        }
-        tail = dropped + alias_mass
-        tail += _truncation_tail(input_tv_error, sum(abs(v) for v in lambdas.values()))
-        return QuasiTriplet(
-            law.basis,
-            tuple(int(mj) for mj in m_vec),
-            lambdas,
-            tail_bound=tail,
-            diagnostics={
-                "grid_n": n,
-                "residual": residual,
-                "max_imag": max_imag,
-                "winding": tuple(int(mj) for mj in m_vec),
-                "certificate": cert,
-            },
-        )
-    raise NonConvergent(f"multibasis triplet did not converge by n_max={params.n_max}")
+    windings, lambdas, tail, diagnostics = _extract(law.atoms, params, input_tv_error)
+    return QuasiTriplet(
+        law.basis,
+        windings,
+        lambdas,
+        tail_bound=tail,
+        diagnostics={**diagnostics, "winding": windings, "certificate": cert},
+    )
 
 
 # --- derived quantities --------------------------------------------------------
@@ -469,28 +435,15 @@ def mean_motion(
 ) -> MeanMotion:
     """Mean motion of Arg f: the exact gamma and its long-window estimates.
 
-    The estimate integrates the phase of f along [0, T] with adaptive
-    refinement, so it never consults the triplet's weights; agreement
-    within (ell1 + tail)/T is a genuine cross-check of gamma.
+    The estimate reads the continued phase of f at each T of the schedule
+    (see continued_arg), so it never consults the triplet's weights;
+    agreement within (ell1 + tail)/T is a genuine cross-check of gamma.
     """
     schedule = sorted(float(t) for t in t_schedule)
-    amp = sum(float(m) * abs(float(law.basis.value(c))) for c, m in law.atoms.items())
-    estimates = []
-    for t_end in schedule:
-        step = min(0.2, 0.45 / max(amp, 1e-9))
-        while True:
-            ts = np.linspace(0.0, t_end, max(int(t_end / step) + 2, 16))
-            try:
-                logs = distinguished_log(cf_eval(law, ts))
-                break
-            except StepTooCoarse:
-                step *= 0.5
-                if step < 1e-7:
-                    raise
-        estimates.append((t_end, float(logs[-1].imag) / t_end))
+    _, args = continued_arg(law, schedule)
     return MeanMotion(
         exact=float(triplet.gamma_value()),
-        estimates=tuple(estimates),
+        estimates=tuple((t_end, float(a) / t_end) for t_end, a in zip(schedule, args)),
         deviation_bound=triplet.ell1() + triplet.tail_bound,
     )
 

@@ -205,6 +205,35 @@ class TestCliCommands:
         assert main(["check-s", str(bad)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "case",
+        ["reversed_t_range", "repeated_basis", "nan_mass", "zero_frequency", "negative_power", "zero_n_init"],
+    )
+    def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, case):
+        good = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
+        trip = write(tmp_path, "trip.json", jsonio.triplet_to_json(triplet_lattice(BERN08)))
+        repeated = write(tmp_path, "b11.json", {"basis": [1, 1], "atoms": [{"coords": [0, 0], "mass": 1}]})
+        zero_freq = write(tmp_path, "t0.json", {"basis": [1], "gamma_coords": [0],
+                                                "lambdas": [{"freq": [0], "value": 0.1}]})
+        nan_mass = tmp_path / "nan.json"
+        nan_mass.write_text('{"basis": [1], "atoms": [{"coords": [0], "mass": NaN}]}')
+        argv, error = {
+            "reversed_t_range": (["curves", good, "--t-min", "5", "--t-max", "1"], "InvalidArgument"),
+            "repeated_basis": (["triplet", repeated], "ParseError"),
+            "nan_mass": (["triplet", str(nan_mass)], "ParseError"),
+            "zero_frequency": (["reconstruct", zero_freq], "ParseError"),
+            "negative_power": (["power", trip, "--s", "-1"], "InvalidArgument"),
+            "zero_n_init": (["triplet", good, "--n-init", "0"], "InvalidArgument"),
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == error
+
+    def test_argument_errors_stay_value_errors(self):
+        with pytest.raises(ValueError):
+            emit_curves(GEOMETRIC, 5.0, 1.0, 16)
+
     def test_outputs_byte_stable(self, tmp_path):
         law_file = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
         out1, out2 = tmp_path / "t1.json", tmp_path / "t2.json"

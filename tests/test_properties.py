@@ -1,0 +1,155 @@
+"""Property-based tests: the JSON loaders at the file boundary, and d = 1
+agreement between the lattice and multibasis entry points of the
+extraction core."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from quasilevy import (  # noqa: E402
+    DiscreteLaw,
+    DuplicateAtom,
+    IrrationalSupport,
+    MassSumNotOne,
+    NegativeMass,
+    ParseError,
+    QuasiTriplet,
+    SignedAtomicMeasure,
+    jsonio,
+    triplet_lattice,
+    triplet_multibasis,
+)
+
+# The law invariants keep their own error classes (and CLI payload names);
+# everything else that is wrong with a document is a ParseError.
+LAW_INVARIANT_ERRORS = (MassSumNotOne, NegativeMass, DuplicateAtom, IrrationalSupport)
+
+LOADER_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+numbers = (
+    st.integers(-2, 3)
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.5, 0.25, 1.0, -0.5])
+    | st.fixed_dictionaries({"num": st.integers(-3, 3), "den": st.integers(-3, 3)})
+)
+coords = st.lists(st.integers(-3, 3), max_size=3)
+
+
+def shaped(required: dict, optional: dict | None = None):
+    """Documents with the expected keys, each value either plausible or arbitrary JSON."""
+    return st.fixed_dictionaries(
+        {k: v | json_values for k, v in required.items()},
+        optional={k: v | json_values for k, v in (optional or {}).items()},
+    )
+
+
+bases = st.lists(numbers, min_size=1, max_size=3)
+halves = st.sampled_from([1, 0.5, {"num": 1, "den": 2}, 0.25, 0.75, 0])
+plausible_law_docs = st.fixed_dictionaries({
+    "basis": st.sampled_from([[1], [{"num": 1, "den": 6}], [-2]]),
+    "atoms": st.lists(
+        st.fixed_dictionaries({"coords": st.integers(-3, 3).map(lambda c: [c]), "mass": halves}),
+        min_size=1, max_size=3,
+    ),
+})
+law_docs = (
+    json_values
+    | plausible_law_docs
+    | shaped(
+        {"basis": bases, "atoms": st.lists(shaped({"coords": coords, "mass": numbers}), max_size=4)},
+        {"declared_independent": st.booleans()},
+    )
+    | shaped(
+        {"masses": st.dictionaries(st.integers(-3, 3).map(str) | st.text(max_size=3), numbers, max_size=4)},
+        {"offset": numbers, "span": numbers},
+    )
+)
+measure_docs = json_values | shaped(
+    {"basis": bases, "atoms": st.lists(shaped({"coords": coords, "weight": numbers}), max_size=4)}
+)
+triplet_docs = json_values | shaped(
+    {
+        "basis": bases,
+        "gamma_coords": coords,
+        "lambdas": st.lists(shaped({"freq": coords, "value": numbers}), max_size=4),
+    },
+    {"tail_bound": numbers},
+)
+
+
+@LOADER_SETTINGS
+@given(law_docs)
+def test_law_from_json_parses_or_reports(doc):
+    try:
+        law = jsonio.law_from_json(doc)
+    except (ParseError, *LAW_INVARIANT_ERRORS):
+        return
+    assert isinstance(law, DiscreteLaw)
+    masses = [float(m) for m in law.atoms.values()]
+    assert masses and all(m >= 0 for m in masses)
+    assert abs(math.fsum(masses) - 1.0) <= 1e-9
+    assert all(len(c) == law.basis.d for c in law.atoms)
+
+
+@LOADER_SETTINGS
+@given(measure_docs)
+def test_measure_from_json_parses_or_reports(doc):
+    try:
+        measure = jsonio.measure_from_json(doc)
+    except (ParseError, DuplicateAtom):
+        return
+    assert isinstance(measure, SignedAtomicMeasure)
+
+
+@LOADER_SETTINGS
+@given(triplet_docs)
+def test_triplet_from_json_parses_or_reports(doc):
+    try:
+        trip = jsonio.triplet_from_json(doc)
+    except ParseError:
+        return
+    assert isinstance(trip, QuasiTriplet)
+
+
+@st.composite
+def dominant_lattice_laws(draw):
+    """Law on offset + span*l whose heaviest atom carries more than half the mass."""
+    width = draw(st.integers(1, 16))
+    others = sorted(draw(st.sets(st.integers(1, width), min_size=1, max_size=6)))
+    p_star = draw(st.floats(0.55, 0.95))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(others), max_size=len(others)))
+    rest = [w / sum(weights) * (1 - p_star) for w in weights]
+    where = draw(st.integers(0, len(rest)))
+    masses = rest[:where] + [p_star] + rest[where:]
+    offset = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-2, 3)]))
+    span = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(3)]))
+    return DiscreteLaw.from_lattice(dict(zip([0, *others], masses)), offset=offset, span=span)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dominant_lattice_laws())
+def test_multibasis_agrees_with_lattice(law):
+    t_lat = triplet_lattice(law)
+    t_mb = triplet_multibasis(law)
+    assert t_mb.gamma_coords == t_lat.gamma_coords
+    for k in set(t_lat.lambdas) | set(t_mb.lambdas):
+        assert abs(t_lat.lambdas.get(k, 0.0) - t_mb.lambdas.get(k, 0.0)) <= 1e-9

@@ -148,6 +148,18 @@ class TestTripletLattice:
         trip = triplet_lattice(geometric_law())
         assert trip.diagnostics["max_imag"] < 1e-10
 
+    def test_rejected_passes_recorded(self):
+        law = DiscreteLaw.from_lattice({0: 0.52, 1: 0.48})
+        trip = triplet_lattice(law, TripletParams(n_init=64))
+        passes = trip.diagnostics["passes"]
+        assert len(passes) >= 2
+        assert [p["n"] for p in passes] == [64 << j for j in range(len(passes))]
+        assert trip.diagnostics["grid_n"] == 2 * passes[-1]["n"]
+        for p in passes:
+            assert p["guard"] in ("phase_jump", "imag", "alias", "residual")
+            assert p["value"] > 1e-10
+        assert triplet_lattice(law).diagnostics["passes"] == []
+
     def test_roundtrip_residual_small(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
