@@ -37,14 +37,24 @@ EXIT_NEGATIVE = 1
 EXIT_UNDECIDED = 2
 
 
+def _finite_float(text: str, name: str) -> float:
+    """The finite float spelled by text; a ParseError naming `name` otherwise.
+
+    Options and environment variables both parse through here, so NaN and
+    infinities never reach a tolerance comparison, which they would pass.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{name} expects a finite number, got {text!r}")
+    return value
+
+
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"environment variable {name}={raw!r} is not a number") from None
+    return default if raw is None else _finite_float(raw, f"environment variable {name}")
 
 
 def emit_curves(law: DiscreteLaw, t_min: float, t_max: float, samples: int, zero_tol: float = 1e-10):
@@ -247,43 +257,47 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def add_float(p, flag, default):
+        # a ParseError is not a ValueError, so argparse lets it reach main's JSON error path
+        p.add_argument(flag, type=lambda text: _finite_float(text, flag), default=default)
+
     p = sub.add_parser("check-s", help="certify or refute separation from zero")
     p.add_argument("law")
     p.add_argument("--max-depth", type=int, default=40)
-    p.add_argument("--zero-tol", type=float, default=zero_tol_default)
-    p.add_argument("--target-gap", type=float, default=0.9)
+    add_float(p, "--zero-tol", zero_tol_default)
+    add_float(p, "--target-gap", 0.9)
     p.add_argument("--curves", default=None, help="also write a (t, |f|, Arg f) CSV here")
-    p.add_argument("--t-max", type=float, default=2 * math.pi)
+    add_float(p, "--t-max", 2 * math.pi)
     p.add_argument("--samples", type=int, default=256)
     add_out(p)
     p.set_defaults(handler=_cmd_check_s)
 
     p = sub.add_parser("triplet", help="extract the spectral triplet of a law")
     p.add_argument("law")
-    p.add_argument("--tol", type=float, default=tol_default)
+    add_float(p, "--tol", tol_default)
     p.add_argument("--n-init", type=int, default=None)
     p.add_argument("--emit-curves", default=None, help="write a (t, Re f, Im f, Arg f) CSV here")
-    p.add_argument("--t-max", type=float, default=2 * math.pi)
+    add_float(p, "--t-max", 2 * math.pi)
     p.add_argument("--samples", type=int, default=256)
     add_out(p)
     p.set_defaults(handler=_cmd_triplet)
 
     p = sub.add_parser("reconstruct", help="rebuild the law from a triplet")
     p.add_argument("triplet")
-    p.add_argument("--series-tol", type=float, default=series_tol_default)
+    add_float(p, "--series-tol", series_tol_default)
     add_out(p)
     p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("power", help="fractional convolution power through the triplet")
     p.add_argument("triplet")
     p.add_argument("--s", required=True, help="nonnegative power, e.g. 0.5 or 1/2")
-    p.add_argument("--series-tol", type=float, default=series_tol_default)
+    add_float(p, "--series-tol", series_tol_default)
     add_out(p)
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("classify-id", help="decide infinite divisibility from a triplet")
     p.add_argument("triplet")
-    p.add_argument("--id-tol", type=float, default=1e-9)
+    add_float(p, "--id-tol", 1e-9)
     add_out(p)
     p.set_defaults(handler=_cmd_classify_id)
 
@@ -294,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_tv)
 
     def add_family_opts(p):
-        p.add_argument("--tol", type=float, default=tol_default)
+        add_float(p, "--tol", tol_default)
         p.add_argument("--n-init", type=int, default=None)
-        p.add_argument("--final-tol", type=float, default=1e-6)
-        p.add_argument("--growth-factor", type=float, default=2.0)
+        add_float(p, "--final-tol", 1e-6)
+        add_float(p, "--growth-factor", 2.0)
         p.add_argument("--emit-trends", default=None, help="write per-member trend CSV here")
         add_out(p)
 
@@ -319,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="CSV of (t, Re f, Im f, |f|, Arg f)")
     p.add_argument("law")
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=2 * math.pi)
+    add_float(p, "--t-min", 0.0)
+    add_float(p, "--t-max", 2 * math.pi)
     p.add_argument("--samples", type=int, default=256)
     add_out(p)
     p.set_defaults(handler=_cmd_curves)
@@ -329,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except NotSeparated as exc:
         doc = {"error": "NotSeparated", "message": str(exc)}

@@ -337,9 +337,13 @@ def validate_law(law: DiscreteLaw) -> DiscreteLaw:
     kept = {c: m for c, m in law.atoms.items() if m != 0}
     if not kept:
         raise MassSumNotOne("all atoms have zero mass")
-    total = sum(kept.values())
+    try:
+        total = sum(kept.values())
+    except OverflowError:  # an integer mass beyond the float range next to a float mass
+        raise MassSumNotOne("masses sum beyond the float range, not 1") from None
     if abs(total - 1) > MASS_SUM_TOL:
-        raise MassSumNotOne(f"masses sum to {float(total)!r}, not 1")
+        # str, not float(): an exact sum beyond the float range must not overflow here
+        raise MassSumNotOne(f"masses sum to {total}, not 1")
     if law.lattice_form is not None:
         lf = law.lattice_form
         for coords in kept:

@@ -41,6 +41,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_STEP_GUARD = 0.9 * math.pi
 LAMBDA_DROP_TOL = 1e-13
 REAL_PART_TOL = 1e-10
+GRID_BUDGET = 1 << 22  # most points of one grid: an extraction pass or a reconstruction series
 
 
 # --- distinguished logarithm along sampled paths -----------------------------
@@ -214,9 +215,14 @@ def cf_from_triplet(triplet: QuasiTriplet, t):
 class TripletParams:
     """Grid and tolerance knobs for triplet extraction.
 
-    n_init None picks 1024 samples per axis for d <= 2 and 128 for d = 3;
-    the grid doubles until the phase steps, the aliasing guard, and the
-    reconstruction residual all pass, or n_max is exceeded.
+    n_init None picks 1024 samples per axis for d = 1 and 64 for d >= 2,
+    raised by doubling to at least 4 * (spread + 1), spread being the
+    widest coordinate range of the support on one axis.  From there the
+    grid doubles until the phase steps, the imaginary-part and aliasing
+    guards, and the reconstruction residual all pass, or n_max is
+    exceeded; a grid of more than GRID_BUDGET points raises NonConvergent.
+    A d >= 2 start is small because a pass costs n^d: the alias guard
+    doubles the grid for laws whose weights decay slowly.
     """
 
     n_init: Optional[int] = None
@@ -226,7 +232,7 @@ class TripletParams:
     separation: Optional[SeparationParams] = None
 
     def initial_n(self, d: int, spread: int) -> int:
-        n = self.n_init if self.n_init is not None else (1024 if d <= 2 else 128)
+        n = self.n_init if self.n_init is not None else (1024 if d == 1 else 64)
         if n < 1:
             raise InvalidArgument(f"n_init must be positive, got {n}")
         while n < 4 * (spread + 1):
@@ -318,8 +324,8 @@ def _extract(atoms: Mapping[Coords, Scalar], params: TripletParams, input_tv_err
     n = params.initial_n(d, int(np.max(np.ptp(coords, axis=0), initial=0)))
     passes = []
     while n <= params.n_max:
-        if n ** d > (1 << 22):
-            raise NonConvergent(f"grid {n}^{d} exceeds the memory budget")
+        if n ** d > GRID_BUDGET:
+            raise NonConvergent(f"grid {n}^{d} exceeds the grid budget of {GRID_BUDGET} points")
         q = np.zeros([n] * d)
         np.add.at(q, tuple((coords % n).T), masses)
         guard, value = _extract_pass(q, params)

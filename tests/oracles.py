@@ -107,6 +107,22 @@ def random_lattice_law(rng, max_width: int = 16, dominant_min: float = 0.55,
     return DiscreteLaw.from_lattice(indexed)
 
 
+def random_planar_law(rng, basis, radius: int = 2, max_extra: int = 5,
+                      dominant_min: float = 0.55) -> DiscreteLaw:
+    """Random dominant-atom law on distinct points of the box [-radius, radius]^2 over a 2-d basis.
+
+    The dominant atom sits at a random point of the box, so gamma need not vanish.
+    """
+    box = [(i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)]
+    picks = rng.choice(len(box), size=int(rng.integers(2, max_extra + 2)), replace=False)
+    support = [box[i] for i in picks]
+    p_star = float(rng.uniform(dominant_min, 0.95))
+    rest = rng.dirichlet(np.ones(len(support) - 1)) * (1 - p_star)
+    return DiscreteLaw.from_pairs(
+        basis, [(support[0], p_star)] + [(c, float(m)) for c, m in zip(support[1:], rest)]
+    )
+
+
 def law_values_masses(law: DiscreteLaw):
     pts = law.support_points()
     return [float(p.value) for p in pts], [float(law.atoms[p.coords]) for p in pts]

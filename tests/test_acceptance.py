@@ -39,10 +39,12 @@ from oracles import (
     geometric_cf,
     geometric_lambdas,
     random_lattice_law,
+    random_planar_law,
     truncated_geometric,
 )
 
 B1 = FrequencyBasis((1,))
+B2 = FrequencyBasis((1, math.sqrt(2)))
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -265,3 +267,26 @@ def test_criterion_10_truncation_bound():
             report(10, "truncation bound", False, f"n={n}: sup {sup:.3e} > bound {bound:.3e}")
     report(10, "sup |f - f_n| <= twice the dropped mass for n in {5, 10, 20}",
            worst_ratio <= 1.0 + 1e-9, f"worst sup/bound ratio {worst_ratio:.3f}")
+
+
+def test_criterion_11_planar_roundtrip_50_random_laws():
+    rng = np.random.default_rng(20261018)
+    worst_tv = 0.0
+    for _ in range(50):
+        law = random_planar_law(rng, B2)
+        rec, _ = reconstruct_law(triplet_multibasis(law))
+        worst_tv = max(worst_tv, tv_distance(rec, law))
+    report(11, "d=2 round-trip TV <= 1e-8 over 50 random dominant-atom laws on (1, sqrt 2)",
+           worst_tv <= 1e-8, f"worst TV {worst_tv:.2e}")
+
+
+def test_criterion_12_planar_half_power_semigroup():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(10):
+        law = random_planar_law(rng, B2)
+        half = conv_power(triplet_multibasis(law), Fraction(1, 2))
+        diff = convolve_powers(half, half).shifted_measure().plus(law.as_measure().scaled(-1))
+        worst = max(worst, total_variation(diff))
+    report(12, "d=2 half powers convolve back to the law within 1e-8 over 10 random laws",
+           worst <= 1e-8, f"worst TV {worst:.2e}")

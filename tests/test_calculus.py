@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,13 @@ from quasilevy import (
     QuasiTriplet,
     compound_exp,
     conv_power,
+    convolve,
     convolve_powers,
     is_infinitely_divisible,
     reconstruct_law,
     total_variation,
     triplet_lattice,
+    triplet_multibasis,
     tv_distance,
 )
 from oracles import (
@@ -81,9 +84,9 @@ class TestCompoundExp:
             measure, residual = compound_exp(trip)
             assert float(measure.total()) == pytest.approx(1.0, abs=residual + 1e-11)
 
-    def test_sparse_path_matches_dense(self):
+    def test_fourier_path_matches_dense(self):
         # the same exponent through the d=1 dense array and through the
-        # d=2 dict route (frequencies embedded on the first axis)
+        # d=2 Fourier-space route (frequencies embedded on the first axis)
         lambdas = {1: 0.6, 3: -0.15}
         dense, _ = compound_exp(QuasiTriplet(B1, (0,), {(k,): v for k, v in lambdas.items()}))
         basis2 = FrequencyBasis((1, math.sqrt(2)))
@@ -92,6 +95,93 @@ class TestCompoundExp:
         )
         for (k,), w in dense.atoms.items():
             assert sparse.atoms.get((k, 0), 0.0) == pytest.approx(w, abs=1e-12)
+
+
+def exact_series(lambdas: dict, terms: int) -> dict:
+    """e^(-sum lambda) sum_{n<=terms} N^(*n)/n! in exact rationals, the factor to 50 digits."""
+    zero = (0,) * len(next(iter(lambdas)))
+    out = {zero: Fraction(1)}
+    term = {zero: Fraction(1)}
+    for n in range(1, terms + 1):
+        nxt: dict = {}
+        for c1, w1 in term.items():
+            for c2, lam in lambdas.items():
+                key = tuple(a + b for a, b in zip(c1, c2))
+                nxt[key] = nxt.get(key, 0) + w1 * lam / n
+        term = nxt
+        for key, w in term.items():
+            out[key] = out.get(key, 0) + w
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = sum(lambdas.values())
+        scale = Fraction((-Decimal(total.numerator) / Decimal(total.denominator)).exp())
+    return {key: scale * w for key, w in out.items()}
+
+
+class TestFourierSeries:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30])
+    @pytest.mark.parametrize("basis, lambdas, terms", [
+        (FrequencyBasis((1, math.sqrt(2))),
+         {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 8), (1, -1): Fraction(-1, 16)}, 40),
+        (FrequencyBasis((1, math.sqrt(2), math.sqrt(3))),
+         {(1, 0, 0): Fraction(1, 8), (0, 1, 0): Fraction(1, 16), (0, 0, -1): Fraction(1, 16),
+          (1, 1, 0): Fraction(-1, 32)}, 28),
+        # a far frequency with a small weight: both axes get a window
+        # shorter than the series' reach, so the FFT folds mass over
+        (FrequencyBasis((1, math.sqrt(2))),
+         {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 8), (12, -9): Fraction(1, 512)}, 30),
+    ], ids=["d2", "d3", "d2-windowed"])
+    def test_within_residual_of_exact_series(self, basis, lambdas, terms, tol):
+        # the exact series runs far past the float one's order, so the l1 gap
+        # holds the series tail, the pruned atoms and the roundoff; at tol 1e-30
+        # the a-priori roundoff term alone has to cover it
+        measure, residual = compound_exp(
+            QuasiTriplet(basis, (0,) * basis.d, {c: float(v) for c, v in lambdas.items()}),
+            ExpSeriesParams(tol=tol),
+        )
+        exact = exact_series(lambdas, terms)
+        keys = set(exact) | set(measure.atoms)
+        gap = sum(abs(Fraction(measure.atoms.get(k, 0.0)) - exact.get(k, 0)) for k in keys)
+        assert 0 < gap <= residual
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_window_bounds_the_mass_outside_it(self, sign):
+        # the dominating measure exp(|N|) along one axis, summed to order M
+        # on a dense array, against the window and the bound _axis_window returns
+        from quasilevy.calculus import _axis_window
+
+        axis, mags, order = tuple(sign * u for u in (1, -2, 7, 30)), np.array([0.3, 0.2, 0.02, 1e-4]), 24
+        log_share = math.log(1e-12)
+        lo, length, outside = _axis_window(axis, mags, order, log_share)
+        low, high = min(axis), max(axis)
+        assert length < order * (high - low) + 1
+        jump = np.zeros(high - low + 1)
+        jump[np.array(axis) - low] = mags
+        series, term = np.zeros(order * (high - low) + 1), np.array([1.0])
+        for n in range(order + 1):  # term n starts at coordinate n * low
+            series[(order - n) * -low: (order - n) * -low + len(term)] += term
+            term = np.convolve(term, jump) / (n + 1)
+        coords = np.arange(len(series)) + order * low
+        beyond = float(np.sum(series[(coords < lo) | (coords >= lo + length)]))
+        assert 0.0 < beyond <= outside <= 2 * math.exp(log_share)
+
+    def test_roundoff_level_atoms_are_pruned(self):
+        # every term of the series is nonnegative here, so an atom that
+        # clears the per-cell roundoff level cannot come out negative
+        basis = FrequencyBasis((1, math.sqrt(2)))
+        measure, _ = compound_exp(
+            QuasiTriplet(basis, (0, 0), {(1, 0): 0.5, (0, 1): 0.25, (2, -1): 0.125}),
+            ExpSeriesParams(tol=1e-30),
+        )
+        assert min(measure.atoms.values()) > 0
+
+    def test_diverged_beyond_grid_budget(self):
+        from quasilevy import Diverged
+
+        basis = FrequencyBasis((1, math.sqrt(2)))
+        for lambdas in ({(1000, 0): 0.2, (0, -1000): 0.2}, {(10**30, 0): 0.2, (0, 1): 0.2}):
+            with pytest.raises(Diverged, match="grid budget"):
+                compound_exp(QuasiTriplet(basis, (0, 0), lambdas))
 
 
 class TestReconstructLaw:
@@ -121,6 +211,24 @@ class TestReconstructLaw:
             assert tv_distance(rec, law) <= bound + 2 * (
                 report.clamped_negative_mass + report.renormalization
             ) + 1e-12
+
+
+class TestSlowDecayPlanar:
+    # dominant mass 0.58: the weights decay like 0.72^k along (-1, -3), and
+    # the order-M series reaches a 2048 x 4096 array, beyond the grid budget;
+    # the series array is sized to where the mass is instead
+    LAW = {(-1, 2): 0.58, (-2, -1): 0.42}
+
+    def test_roundtrip(self):
+        law = DiscreteLaw.from_pairs(FrequencyBasis((1, math.sqrt(2))), self.LAW.items())
+        rec, report = reconstruct_law(triplet_multibasis(law))
+        assert tv_distance(rec, law) <= min(1e-8, report.error_bound + 1e-12)
+
+    def test_cube_power(self):
+        law = DiscreteLaw.from_pairs(FrequencyBasis((1, math.sqrt(2))), self.LAW.items())
+        cube = conv_power(triplet_multibasis(law), 3).shifted_measure()
+        brute = convolve(convolve(law.as_measure(), law.as_measure()), law.as_measure())
+        assert total_variation(cube.plus(brute.scaled(-1))) <= 1e-8
 
 
 class TestConvPower:

@@ -207,9 +207,11 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         "case",
-        ["reversed_t_range", "repeated_basis", "nan_mass", "zero_frequency", "negative_power", "zero_n_init"],
+        ["reversed_t_range", "repeated_basis", "nan_mass", "zero_frequency", "negative_power", "zero_n_init",
+         "nan_tol", "nan_id_tol", "inf_series_tol", "malformed_tol_option", "nan_env_tol", "malformed_env_tol",
+         "mass_beyond_float_range", "mass_sum_beyond_float_range"],
     )
-    def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, case):
+    def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, monkeypatch, case):
         good = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
         trip = write(tmp_path, "trip.json", jsonio.triplet_to_json(triplet_lattice(BERN08)))
         repeated = write(tmp_path, "b11.json", {"basis": [1, 1], "atoms": [{"coords": [0, 0], "mass": 1}]})
@@ -217,6 +219,11 @@ class TestCliCommands:
                                                 "lambdas": [{"freq": [0], "value": 0.1}]})
         nan_mass = tmp_path / "nan.json"
         nan_mass.write_text('{"basis": [1], "atoms": [{"coords": [0], "mass": NaN}]}')
+        huge = write(tmp_path, "huge.json", {"basis": [1], "atoms": [{"coords": [0], "mass": 10**400}]})
+        huge_mixed = write(tmp_path, "huge2.json", {"basis": [1], "atoms": [
+            {"coords": [0], "mass": 10**400}, {"coords": [1], "mass": 0.5}]})
+        if case.endswith("env_tol"):
+            monkeypatch.setenv("QUASILEVY_TOL", "nan" if case == "nan_env_tol" else "abc")
         argv, error = {
             "reversed_t_range": (["curves", good, "--t-min", "5", "--t-max", "1"], "InvalidArgument"),
             "repeated_basis": (["triplet", repeated], "ParseError"),
@@ -224,6 +231,14 @@ class TestCliCommands:
             "zero_frequency": (["reconstruct", zero_freq], "ParseError"),
             "negative_power": (["power", trip, "--s", "-1"], "InvalidArgument"),
             "zero_n_init": (["triplet", good, "--n-init", "0"], "InvalidArgument"),
+            "nan_tol": (["triplet", good, "--tol", "nan"], "ParseError"),
+            "nan_id_tol": (["classify-id", trip, "--id-tol", "nan"], "ParseError"),
+            "inf_series_tol": (["reconstruct", trip, "--series-tol", "inf"], "ParseError"),
+            "malformed_tol_option": (["triplet", good, "--tol", "abc"], "ParseError"),
+            "nan_env_tol": (["triplet", good], "ParseError"),
+            "malformed_env_tol": (["triplet", good], "ParseError"),
+            "mass_beyond_float_range": (["triplet", huge], "MassSumNotOne"),
+            "mass_sum_beyond_float_range": (["triplet", huge_mixed], "MassSumNotOne"),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err

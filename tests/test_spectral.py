@@ -36,6 +36,13 @@ from oracles import (
 )
 
 B1 = FrequencyBasis((1,))
+B2 = FrequencyBasis((1, math.sqrt(2)))
+B3 = FrequencyBasis((1, math.sqrt(2), math.sqrt(3)))
+# mass 0.7 at the origin, 0.3 over 11 points of [-2, 2]^2 with weights 11, 10, ..., 1
+TWELVE_ATOM_LAW = DiscreteLaw.from_pairs(B2, [((0, 0), 0.7)] + [
+    (c, 0.3 * (11 - i) / 66) for i, c in enumerate(
+        [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (2, 0), (0, 2), (1, -2), (-2, 1), (2, 2)])
+])
 
 
 def geometric_law(p: Fraction = Fraction(1, 2), n_atoms: int = 61) -> DiscreteLaw:
@@ -190,6 +197,23 @@ class TestTripletMultibasis:
         assert trip.gamma_coords == (0, 0)
         rec, _ = reconstruct_law(trip)
         assert tv_distance(rec, law) <= 1e-8
+
+    @pytest.mark.parametrize("law", [
+        *(DiscreteLaw.from_pairs(B2, [((0, 0), 0.5 + e), ((1, 0), 0.25 - e / 2), ((0, 1), 0.25 - e / 2)])
+          for e in (0.2, 0.1, 0.05)),
+        TWELVE_ATOM_LAW,
+        DiscreteLaw.from_pairs(B3, [((0, 0, 0), 0.7), ((1, 0, 0), 0.1), ((0, 1, 0), 0.1), ((-1, 0, 1), 0.1)]),
+    ], ids=["gap0.2", "gap0.1", "gap0.05", "twelve_atoms", "d3"])
+    def test_small_start_grid_agrees_with_large(self, law):
+        # the default d >= 2 start grows by the guards; a start of 1024 (128 in d = 3,
+        # the largest start within the grid budget) must read the same triplet
+        small = triplet_multibasis(law)
+        large = triplet_multibasis(law, TripletParams(n_init=1024 if law.basis.d == 2 else 128))
+        assert small.diagnostics["grid_n"] < large.diagnostics["grid_n"]
+        assert small.gamma_coords == large.gamma_coords
+        keys = set(small.lambdas) | set(large.lambdas)
+        ell1 = sum(abs(small.lambdas.get(k, 0.0) - large.lambdas.get(k, 0.0)) for k in keys)
+        assert ell1 <= small.tail_bound + large.tail_bound
 
     def test_h_law_not_separated(self):
         basis = FrequencyBasis((math.sqrt(2) - 1, 1))
