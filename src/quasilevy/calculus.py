@@ -6,7 +6,8 @@ The spectral pair (gamma, {lambda_u}) is inverted in measure space as
 
 a compound-exponential series truncated at the smallest order M whose
 factorial tail bound meets the tolerance.  For d = 1 the terms N^(*n)/n!
-are convolved on a dense index array.  For d >= 2 the series is summed
+are convolved on a dense index array, which may span at most GRID_BUDGET
+indices (Diverged otherwise).  For d >= 2 the series is summed
 in Fourier space: the weights sit on a real array, a power of two per
 axis, whose window along each axis holds the series' mass by a Chernoff
 bound (or spans every coordinate the order-M series reaches, when that
@@ -29,12 +30,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .charfn import UNIT_ROUNDOFF, _gamma
 from .errors import Diverged, InvalidArgument, NegativeMassBeyondTolerance
 from .measures import Coords, DiscreteLaw, SignedAtomicMeasure, convolve
 from .spectral import GRID_BUDGET, QuasiTriplet
 
 NEGATIVE_MASS_TOL = 1e-9  # per-atom: separates genuinely signed results from roundoff
-UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass
@@ -70,14 +71,29 @@ def _series_order(norm: float, prefactor: float, params: ExpSeriesParams) -> tup
 
 
 def _compound_exp_dense(ks, lams, params: ExpSeriesParams):
-    """d = 1 series on a dense integer-index array; returns (weights, origin, residual)."""
+    """d = 1 series on a dense integer-index array; returns (weights, origin, residual).
+
+    The order-M series spans M * (max(0, kmax) - min(0, kmin)) + 1 indices;
+    beyond GRID_BUDGET (or a jump array already beyond it) raises Diverged
+    before anything that size is allocated.
+    """
     kmin, kmax = min(ks), max(ks)
+    span = max(0, kmax) - min(0, kmin)
+    if kmax - kmin + 1 > GRID_BUDGET:
+        raise Diverged(
+            f"d = 1 series jump spans {kmax - kmin + 1} indices, beyond the grid budget of {GRID_BUDGET}"
+        )
     jump = np.zeros(kmax - kmin + 1)
     for k, lam in zip(ks, lams):
         jump[k - kmin] = lam
     norm = float(np.sum(np.abs(jump)))
     scale = math.exp(-float(np.sum(jump)))
     order, series_tail = _series_order(norm, scale, params)
+    if order * span + 1 > GRID_BUDGET:
+        raise Diverged(
+            f"d = 1 series of order {order} spans {order * span + 1} indices, "
+            f"beyond the grid budget of {GRID_BUDGET}"
+        )
     prune = params.tol / (10.0 * max(order, 1))
 
     acc = np.array([1.0])
@@ -98,12 +114,6 @@ def _compound_exp_dense(ks, lams, params: ExpSeriesParams):
         merged[term_origin - lo : term_origin - lo + len(term)] += term
         acc, acc_origin = merged, lo
     return scale * acc, acc_origin, series_tail + scale * discarded
-
-
-def _gamma(k: float) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of binary64."""
-    ku = k * UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
 
 
 def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[int, int, float]:

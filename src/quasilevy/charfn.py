@@ -18,10 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotSeparated
+from .errors import InvalidArgument, NotSeparated
 from .measures import DiscreteLaw
 
 TWO_PI = 2.0 * math.pi
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def cf_eval(law: DiscreteLaw, t):
@@ -89,6 +90,16 @@ class SeparationParams:
     target_gap: float = 0.9
     max_cells: int = 500_000
 
+    def __post_init__(self):
+        if not 0.0 < self.target_gap <= 1.0:
+            raise InvalidArgument("target_gap must lie in (0, 1]")
+        if self.max_depth < 0:
+            raise InvalidArgument("max_depth must be at least 0")
+        if self.max_cells < 1:
+            raise InvalidArgument("max_cells must be at least 1")
+        if not self.zero_tol >= 0.0:
+            raise InvalidArgument("zero_tol must be nonnegative")
+
 
 @dataclass
 class SeparationCertificate:
@@ -96,8 +107,11 @@ class SeparationCertificate:
 
     verdict is one of:
       "certified":  inf over the torus (hence over all real t) >= mu > 0;
-                    every leaf cell of the search satisfies
-                    |phi~(center)| - sum_j L_j * r_j >= mu.
+                    every leaf cell of the search, centre c and half-widths
+                    r, satisfies max(|phi~(c)| - L.r, |phi~(c)| -
+                    sum_j |Re(conj(u) d_j phi~(c))| r_j - 1/2 sum_k p_k
+                    (|c_k|.r)^2) - rounding_margin >= mu, u the phase of
+                    phi~(c).  search_log["slack"] is best_inf_estimate - mu.
       "zero_found": a torus point with |phi~| <= zero_tol was exhibited.
                     For d = 1 this is a genuine zero of f (zero_t gives the
                     location on the line); for d >= 2 it only proves
@@ -106,6 +120,8 @@ class SeparationCertificate:
       "undecided":  depth/cell budget exhausted; best_inf_estimate reports
                     the smallest sampled |phi~|.  Never to be read as a
                     class-membership claim either way.
+    search_log holds the cells popped, the deepest depth reached and the
+    rounding_margin taken off every cell bound.
     """
 
     verdict: str
@@ -124,45 +140,133 @@ class SeparationCertificate:
         return self.verdict == "certified"
 
 
+def _gamma(k: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of binary64."""
+    ku = k * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def _round_up(x: float, roundings: int) -> float:
+    """x, a nonnegative float result of at most `roundings` roundings, raised above its exact value."""
+    return x * (1.0 + _gamma(2 * roundings + 4))
+
+
+def rounding_margin(coords: np.ndarray, masses: np.ndarray) -> float:
+    """A-priori bound on how far a float cell bound of certify_separation can exceed the exact one.
+
+    With u = 2^-53, gamma_n = n u / (1 - n u), K atoms in d dimensions,
+    P = sum_k p_k, M1 = sum_k p_k |c_k|_1 and M2 = sum_k p_k |c_k|_1^2:
+      value   the centre (2m + 1) r, |theta_j| <= 2 pi, rounds twice and
+              <c_k, theta> adds gamma_d; the cells miss less than 2 pi u of
+              each axis; |e^(ix') - e^(ix)| <= |x' - x|: 2 pi gamma_(d+3) M1.
+              The complex exp (16u), its product with p_k, the K-term sum,
+              the modulus, the rounding of the masses and the three
+              subtractions of the bound: gamma_(K+22) P.
+      slope   sum_j |Re(conj(u) d_j phi~)| r_j with r_j <= pi: the same
+              arguments, 2 pi^2 gamma_(d+3) M2, and the 2K-term gradient
+              sums over the rounded products p_k c_kj, the projection, the
+              division and the d-term sum, pi gamma_(2K+d+23) M1.
+    L.r and the quadratic term are rounded up where they are computed
+    (_round_up).  The total is raised by 1% for products of two rounding
+    errors and the rounding of this sum.
+    """
+    k, d = coords.shape
+    norms = np.abs(coords).sum(axis=1)
+    m1 = float(masses @ norms)
+    m2 = float(masses @ norms**2)
+    value = TWO_PI * _gamma(d + 3) * m1 + _gamma(k + 22) * float(masses.sum())
+    slope = math.pi * (TWO_PI * _gamma(d + 3) * m2 + _gamma(2 * k + d + 23) * m1)
+    return 1.01 * (value + slope)
+
+
+def _evaluate(weights: np.ndarray, coords: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """weights @ e^(i coords theta) for the columns of theta (d, n).
+
+    With weights = [p; (p c)^T] of shape (d + 1, K), row 0 is phi~ and row
+    1 + j is G_j, where d phi~/d theta_j = i G_j.
+    """
+    return weights @ np.exp(1j * (coords @ theta))
+
+
 def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None) -> SeparationCertificate:
     """Branch-and-bound proof or refutation of |f(t)| >= mu > 0 on the torus.
 
-    Cells of [0, 2pi]^d carry the sound lower bound
-    |phi~(center)| - sum_j L_j * r_j; the cell with the smallest bound is
-    split first along its widest weighted axis.  The search stops when the
-    smallest outstanding bound reaches target_gap times the best sampled
-    modulus (certified), a sample drops to zero_tol (zero found), or the
-    budget runs out (undecided).
+    A cell of [0, 2pi]^d with centre c and half-widths r carries the lower
+    bound max(|phi~(c)| - L.r, |phi~(c)| - sum_j |Re(conj(u) d_j phi~(c))| r_j
+    - 1/2 sum_k p_k (|c_k|.r)^2) - rounding_margin, u = phi~(c)/|phi~(c)|.
+    The first term is the Lipschitz bound; the second follows from
+    |phi~| >= Re(conj(u) phi~) and |e^(ix) - 1 - ix| <= x^2/2, and is second
+    order near the minimum of |phi~|, where the first-order term vanishes
+    (Horst and Tuy, Global Optimization).  When |phi~(c)| is at most the
+    margin only the first is taken.  L.r and the quadratic term are rounded
+    up, and rounding_margin bounds every other float error, so the bound
+    holds for the exact law.  The cell with the smallest bound is split
+    first, along argmax L_j r_j; cells start from r = pi, so their radii,
+    L.r and quadratic term depend on the depth alone and are tabulated, and
+    a cell is stored as its integer index m with centre (2m + 1) r.  Both
+    children of a split are evaluated in one pass.  The search stops when
+    the smallest outstanding bound reaches target_gap times the best sampled
+    modulus (certified), a sample drops to zero_tol (zero found), or
+    max_depth or max_cells popped cells are reached (undecided).
     """
     if params is None:
         params = SeparationParams()
     phi = torus_lift(law)
     d = phi.d
     lip = phi.lipschitz
+    independent = law.basis.declared_independent
 
     if float(lip.sum()) == 0.0:
-        # degenerate law: |phi~| is constant 1
+        # degenerate law: one atom at the origin, |phi~| is 1 exactly
         return SeparationCertificate(
             verdict="certified", mu=1.0, best_inf_estimate=1.0,
-            independence_assumed=law.basis.declared_independent,
-            search_log={"cells": 1, "max_depth": 0},
+            independence_assumed=independent,
+            search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0},
         )
 
-    best_ub = math.inf
-    best_theta: tuple[float, ...] = (0.0,) * d
+    margin = rounding_margin(phi.coords, phi.masses)
+    spans = np.abs(phi.coords)
+    k = len(phi.masses)
+
+    def level(radii: np.ndarray) -> tuple:
+        """(split axis, radii, L.r, 1/2 sum_k p_k (|c_k|.r)^2) for the cells of one depth."""
+        return (
+            int(np.argmax(lip * radii)),
+            radii.tolist(),
+            _round_up(float(lip @ radii), k + d),
+            _round_up(0.5 * float(phi.masses @ (spans @ radii) ** 2), k + 2 * d + 2),
+        )
+
+    levels = [level(np.full(d, math.pi))]
+
+    weights = np.vstack([phi.masses, phi.coords.T * phi.masses])
+
+    def cells(indices: list, depth: int) -> tuple[np.ndarray, list, list]:
+        """Centres, bounds and sampled moduli of the cells with these indices at one depth."""
+        _, radii, lip_r, quad = levels[depth]
+        theta = np.array([[(2 * m + 1) * r for m, r in zip(idx, radii)] for idx in indices]).T
+        bounds, moduli = [], []
+        for value, *grad in _evaluate(weights, phi.coords, theta).T.tolist():
+            v = abs(value)
+            bound = v - lip_r
+            if v > margin:  # otherwise every bound is <= 0; this also keeps 0 out of the division
+                slope = sum(r * abs(value.real * g.imag - value.imag * g.real) for r, g in zip(radii, grad))
+                bound = max(bound, v - slope / v - quad)
+            bounds.append(bound - margin)
+            moduli.append(v)
+        return theta, bounds, moduli
+
     cells_seen = 0
     max_depth_seen = 0
     counter = itertools.count()
 
-    def bound_of(center: np.ndarray, radii: np.ndarray) -> tuple[float, float]:
-        v = abs(phi(center))
-        return v - float(lip @ radii), v
+    def log(**extra) -> dict:
+        return {"cells": cells_seen, "max_depth": max_depth_seen, "rounding_margin": margin, **extra}
 
-    root_center = np.full(d, math.pi)
-    root_radii = np.full(d, math.pi)
-    lb0, v0 = bound_of(root_center, root_radii)
-    heap: list = [(lb0, next(counter), root_center, root_radii, 0)]
-    best_ub, best_theta = v0, tuple(float(x) for x in root_center)
+    root = (0,) * d
+    theta, (lb0,), (best_ub,) = cells([root], 0)
+    best_theta = tuple(theta[:, 0].tolist())
+    heap: list = [(lb0, next(counter), 0, root)]
 
     def verdict_zero() -> SeparationCertificate:
         zero_t = None
@@ -178,8 +282,8 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             best_inf_estimate=best_ub,
             depth=max_depth_seen,
             torus_infimum_only=(d >= 2),
-            independence_assumed=law.basis.declared_independent,
-            search_log={"cells": cells_seen, "max_depth": max_depth_seen},
+            independence_assumed=independent,
+            search_log=log(),
         )
 
     if best_ub <= params.zero_tol:
@@ -188,7 +292,7 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
 
     depth_exhausted = False
     while heap:
-        lb, _, center, radii, depth = heapq.heappop(heap)
+        lb, _, depth, idx = heapq.heappop(heap)
         cells_seen += 1
         max_depth_seen = max(max_depth_seen, depth)
         if lb >= params.target_gap * best_ub and lb > 0:
@@ -198,35 +302,32 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
                 mu=lb,
                 best_inf_estimate=best_ub,
                 depth=max_depth_seen,
-                independence_assumed=law.basis.declared_independent,
-                search_log={"cells": cells_seen, "max_depth": max_depth_seen},
+                independence_assumed=independent,
+                search_log=log(slack=best_ub - lb),
             )
-        if depth >= params.max_depth or cells_seen > params.max_cells:
+        if depth >= params.max_depth or cells_seen >= params.max_cells:
             depth_exhausted = True
             break
-        axis = int(np.argmax(lip * radii))
-        new_radii = radii.copy()
-        new_radii[axis] *= 0.5
-        for side in (-1.0, 1.0):
-            new_center = center.copy()
-            new_center[axis] += side * new_radii[axis]
-            clb, cval = bound_of(new_center, new_radii)
-            if cval < best_ub:
-                best_ub, best_theta = cval, tuple(float(x) for x in new_center)
+        if len(levels) == depth + 1:
+            axis, radii = levels[depth][0], np.array(levels[depth][1])
+            radii[axis] *= 0.5
+            levels.append(level(radii))
+        axis = levels[depth][0]
+        kids = [idx[:axis] + (2 * idx[axis] + side,) + idx[axis + 1:] for side in (0, 1)]
+        theta, bounds, moduli = cells(kids, depth + 1)
+        for j in (0, 1):
+            if moduli[j] < best_ub:
+                best_ub, best_theta = moduli[j], tuple(theta[:, j].tolist())
                 if best_ub <= params.zero_tol:
                     return verdict_zero()
-            heapq.heappush(heap, (clb, next(counter), new_center, new_radii, depth + 1))
+            heapq.heappush(heap, (bounds[j], next(counter), depth + 1, kids[j]))
 
     return SeparationCertificate(
         verdict="undecided",
         best_inf_estimate=best_ub,
         depth=max_depth_seen,
-        independence_assumed=law.basis.declared_independent,
-        search_log={
-            "cells": cells_seen,
-            "max_depth": max_depth_seen,
-            "depth_exhausted": depth_exhausted,
-        },
+        independence_assumed=independent,
+        search_log=log(depth_exhausted=depth_exhausted),
     )
 
 

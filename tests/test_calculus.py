@@ -348,6 +348,14 @@ class TestSeriesControls:
         with pytest.raises(Diverged):
             compound_exp(trip, ExpSeriesParams(tol=1e-12, max_terms=3))
 
+    def test_d1_diverged_beyond_grid_budget(self):
+        from quasilevy import Diverged
+
+        # the series of order M spans M * 10**15 indices; the jump of the second spans 10**15
+        for lambdas in ({(10**15,): 0.1}, {(1,): 0.1, (-(10**15),): 1e-20}, {(10**6,): 0.5}):
+            with pytest.raises(Diverged, match="grid budget"):
+                compound_exp(QuasiTriplet(B1, (0,), lambdas))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ExpSeriesParams(tol=0.0)

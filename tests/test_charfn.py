@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +7,19 @@ import pytest
 from quasilevy import (
     DiscreteLaw,
     FrequencyBasis,
+    InvalidArgument,
     SeparationParams,
     certify_separation,
     cf_eval,
     dominant_mass_bound,
     torus_lift,
 )
-from oracles import dense_min_abs_cf, law_values_masses, random_lattice_law
+from quasilevy import charfn
+from oracles import dense_min_abs_cf, law_values_masses, random_lattice_law, random_planar_law
 
 B1 = FrequencyBasis((1,))
+B2 = FrequencyBasis((1, math.sqrt(2)))
+B3 = FrequencyBasis((1, math.sqrt(2), math.sqrt(3)))
 
 
 def bernoulli(p0: float, p1: float) -> DiscreteLaw:
@@ -25,6 +30,19 @@ def h_law(p_alpha: float, p_one: float, alpha: float = math.sqrt(2) - 1) -> Disc
     basis = FrequencyBasis((alpha, 1))
     return DiscreteLaw.from_pairs(
         basis, [((0, 0), 0.5), ((1, 0), p_alpha), ((0, 1), p_one)]
+    )
+
+
+def planar_gap_law(e: float) -> DiscreteLaw:
+    """(0.5+e, 0.25-e/2, 0.25-e/2) on (1, sqrt 2): inf |f| = 2e, reached at theta = (pi, pi)."""
+    return DiscreteLaw.from_pairs(B2, [((0, 0), 0.5 + e), ((1, 0), 0.25 - e / 2), ((0, 1), 0.25 - e / 2)])
+
+
+def spatial_gap_law(e: float) -> DiscreteLaw:
+    """(0.5+e, and (0.5-e)/3 three times) on (1, sqrt 2, sqrt 3): inf |f| = 2e."""
+    other = (0.5 - e) / 3
+    return DiscreteLaw.from_pairs(
+        B3, [((0, 0, 0), 0.5 + e), ((1, 0, 0), other), ((0, 1, 0), other), ((0, 0, 1), other)]
     )
 
 
@@ -158,6 +176,70 @@ class TestCertifySeparation:
             pmin = dense_min_abs_cf(vals, masses, period, 4_000_000)
             assert pmin >= cert.mu - 1e-9
             assert pmin <= cert.best_inf_estimate + 1e-7
+
+
+    def test_second_order_bound_cell_counts(self):
+        # the first-order Lipschitz bound needed 12,954 and 30,244 cells here
+        for law, gap, infimum, most in [(planar_gap_law(0.03), 0.999, 0.06, 1_000),
+                                        (spatial_gap_law(0.05), 0.99, 0.1, 2_000)]:
+            cert = certify_separation(law, SeparationParams(target_gap=gap))
+            assert cert.verdict == "certified"
+            assert cert.search_log["cells"] <= most
+            assert gap * infimum <= cert.mu <= infimum
+
+    def test_search_log_reports_margin_and_slack(self):
+        cert = certify_separation(planar_gap_law(0.05), SeparationParams(target_gap=0.99))
+        log = cert.search_log
+        assert 0 < log["rounding_margin"] < 1e-12
+        assert log["slack"] == cert.best_inf_estimate - cert.mu
+        refuted = certify_separation(bernoulli(0.5, 0.5))
+        assert refuted.search_log["rounding_margin"] > 0 and "slack" not in refuted.search_log
+
+    def test_rounding_margin_covers_float_evaluation(self, monkeypatch):
+        """Every centre the search evaluates (the leaves among them), re-evaluated with
+        exact arguments and math.fsum, differs in modulus by at most rounding_margin."""
+        seen = []
+        evaluate = charfn._evaluate
+
+        def spy(weights, coords, theta):
+            out = evaluate(weights, coords, theta)
+            seen.append((theta.copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(charfn, "_evaluate", spy)
+        wide = DiscreteLaw.from_lattice({0: 0.97, 311: 0.02, 724: 0.01})
+        planar = random_planar_law(np.random.default_rng(7), B2, radius=3, max_extra=9)
+        worst = 0.0
+        for law, gap in [(planar_gap_law(0.03), 0.999), (wide, 0.99), (planar, 0.999)]:
+            seen.clear()
+            cert = certify_separation(law, SeparationParams(target_gap=gap))
+            assert cert.verdict == "certified"
+            margin = cert.search_log["rounding_margin"]
+            coords = list(law.atoms)
+            masses = [float(m) for m in law.atoms.values()]
+            for theta, values in seen:
+                for centre, value in zip(theta.T.tolist(), values.tolist()):
+                    args = [float(sum(c * Fraction(t) for c, t in zip(ck, centre))) for ck in coords]
+                    exact = complex(math.fsum(p * math.cos(x) for p, x in zip(masses, args)),
+                                    math.fsum(p * math.sin(x) for p, x in zip(masses, args)))
+                    gap_here = abs(abs(value) - abs(exact))
+                    assert gap_here <= margin
+                    worst = max(worst, gap_here)
+        assert worst > 0  # the check sees real rounding, not identical evaluations
+
+    def test_search_stops_at_max_cells(self):
+        law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        cert = certify_separation(law, SeparationParams(max_cells=50))
+        assert cert.verdict == "undecided"
+        assert cert.search_log["cells"] == 50
+
+    @pytest.mark.parametrize("bad", [
+        {"target_gap": 0.0}, {"target_gap": 2.0}, {"target_gap": math.nan}, {"max_depth": -1},
+        {"max_cells": 0}, {"zero_tol": -1e-10}, {"zero_tol": math.nan},
+    ])
+    def test_params_validated(self, bad):
+        with pytest.raises(InvalidArgument):
+            SeparationParams(**bad)
 
 
 class TestCertificateSemantics:

@@ -209,7 +209,8 @@ class TestCliCommands:
         "case",
         ["reversed_t_range", "repeated_basis", "nan_mass", "zero_frequency", "negative_power", "zero_n_init",
          "nan_tol", "nan_id_tol", "inf_series_tol", "malformed_tol_option", "nan_env_tol", "malformed_env_tol",
-         "mass_beyond_float_range", "mass_sum_beyond_float_range"],
+         "mass_beyond_float_range", "mass_sum_beyond_float_range", "gap_above_one", "zero_gap",
+         "negative_depth", "negative_zero_tol", "huge_d1_frequency"],
     )
     def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, monkeypatch, case):
         good = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
@@ -217,6 +218,8 @@ class TestCliCommands:
         repeated = write(tmp_path, "b11.json", {"basis": [1, 1], "atoms": [{"coords": [0, 0], "mass": 1}]})
         zero_freq = write(tmp_path, "t0.json", {"basis": [1], "gamma_coords": [0],
                                                 "lambdas": [{"freq": [0], "value": 0.1}]})
+        huge_freq = write(tmp_path, "t15.json", {"basis": [1], "gamma_coords": [0],
+                                                 "lambdas": [{"freq": [10**15], "value": 0.1}]})
         nan_mass = tmp_path / "nan.json"
         nan_mass.write_text('{"basis": [1], "atoms": [{"coords": [0], "mass": NaN}]}')
         huge = write(tmp_path, "huge.json", {"basis": [1], "atoms": [{"coords": [0], "mass": 10**400}]})
@@ -239,6 +242,11 @@ class TestCliCommands:
             "malformed_env_tol": (["triplet", good], "ParseError"),
             "mass_beyond_float_range": (["triplet", huge], "MassSumNotOne"),
             "mass_sum_beyond_float_range": (["triplet", huge_mixed], "MassSumNotOne"),
+            "gap_above_one": (["check-s", good, "--target-gap", "2"], "InvalidArgument"),
+            "zero_gap": (["check-s", good, "--target-gap", "0"], "InvalidArgument"),
+            "negative_depth": (["check-s", good, "--max-depth", "-1"], "InvalidArgument"),
+            "negative_zero_tol": (["check-s", good, "--zero-tol=-1e-10"], "InvalidArgument"),
+            "huge_d1_frequency": (["reconstruct", huge_freq], "Diverged"),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err

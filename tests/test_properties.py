@@ -1,6 +1,6 @@
-"""Property-based tests: the JSON loaders at the file boundary, and d = 1
+"""Property-based tests: the JSON loaders at the file boundary, d = 1
 agreement between the lattice and multibasis entry points of the
-extraction core."""
+extraction core, and certified separation against dense sampling."""
 
 import math
 from fractions import Fraction
@@ -10,15 +10,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from quasilevy import (  # noqa: E402
     DiscreteLaw,
     DuplicateAtom,
+    FrequencyBasis,
     IrrationalSupport,
     MassSumNotOne,
     NegativeMass,
     ParseError,
     QuasiTriplet,
+    SeparationParams,
     SignedAtomicMeasure,
+    certify_separation,
     jsonio,
     triplet_lattice,
     triplet_multibasis,
@@ -153,3 +158,32 @@ def test_multibasis_agrees_with_lattice(law):
     assert t_mb.gamma_coords == t_lat.gamma_coords
     for k in set(t_lat.lambdas) | set(t_mb.lambdas):
         assert abs(t_lat.lambdas.get(k, 0.0) - t_mb.lambdas.get(k, 0.0)) <= 1e-9
+
+
+@st.composite
+def dominant_planar_laws(draw):
+    """Law on (1, sqrt 2) with distinct support in [-3, 3]^2 and one atom of mass in [0.55, 0.95]."""
+    support = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=7, unique=True))
+    p_star = draw(st.floats(0.55, 0.95))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support) - 1, max_size=len(support) - 1))
+    rest = [w / sum(weights) * (1 - p_star) for w in weights]
+    return DiscreteLaw.from_pairs(FrequencyBasis((1, math.sqrt(2))), list(zip(support, [p_star, *rest])))
+
+
+def sampled_torus_min(law: DiscreteLaw, per_axis: int) -> float:
+    """min |sum_k p_k exp(i <c_k, theta>)| over a tensor grid of the torus, evaluated directly."""
+    coords = np.array(list(law.atoms), dtype=float)
+    masses = np.array([float(m) for m in law.atoms.values()])
+    axis = 2.0 * math.pi * np.arange(per_axis) / per_axis
+    thetas = np.stack(np.meshgrid(*([axis] * law.basis.d), indexing="ij"), -1).reshape(-1, law.basis.d)
+    return float(np.min(np.abs(np.exp(1j * thetas @ coords.T) @ masses)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dominant_lattice_laws() | dominant_planar_laws(), st.sampled_from([0.9, 0.99, 0.999]))
+def test_certified_never_contradicts_dense_sampling(law, gap):
+    cert = certify_separation(law, SeparationParams(target_gap=gap))
+    assert cert.verdict == "certified"  # a dominant atom keeps |f| >= 2 p_max - 1 > 0
+    sampled = sampled_torus_min(law, 1 << 14 if law.basis.d == 1 else 256)
+    assert sampled >= cert.mu - cert.search_log["rounding_margin"]
+    assert cert.mu >= gap * cert.best_inf_estimate
