@@ -5,20 +5,18 @@ The spectral pair (gamma, {lambda_u}) is inverted in measure space as
     delta_gamma * e^(-sum lambda) * sum_n N^(*n) / n!,    N = sum lambda_u delta_u,
 
 a compound-exponential series truncated at the smallest order M whose
-factorial tail bound meets the tolerance.  For d = 1 the terms N^(*n)/n!
-are convolved on a dense index array, which may span at most GRID_BUDGET
-indices (Diverged otherwise).  For d >= 2 the series is summed
-in Fourier space: the weights sit on a real array, a power of two per
+factorial tail bound meets the tolerance.  One routine sums it for every
+d, in Fourier space: the weights sit on a real array, a power of two per
 axis, whose window along each axis holds the series' mass by a Chernoff
 bound (or spans every coordinate the order-M series reaches, when that
 is no larger); an array beyond GRID_BUDGET points raises Diverged.
 sum_{n<=M} J^n/n! is evaluated pointwise by Horner over rfftn(jump) and
-inverted once.  Either way the reported residual bounds the l1 distance
-to the exact series: the tail, the pruned atoms and, in Fourier space,
-twice the mass bound outside the window and an a-priori roundoff term.  This
-is the independent route back from a triplet to a law: it never takes a
-logarithm or unwraps a phase as the extractors do, so agreement of the
-round trip is a genuine two-sided check.
+inverted once.  The reported residual bounds the l1 distance to the
+exact series: the tail, the pruned atoms, twice the mass bound outside
+the window and an a-priori roundoff term.  This is the independent route
+back from a triplet to a law: it never takes a logarithm or unwraps a
+phase as the extractors do, so agreement of the round trip is a genuine
+two-sided check.
 """
 
 from __future__ import annotations
@@ -70,52 +68,6 @@ def _series_order(norm: float, prefactor: float, params: ExpSeriesParams) -> tup
     )
 
 
-def _compound_exp_dense(ks, lams, params: ExpSeriesParams):
-    """d = 1 series on a dense integer-index array; returns (weights, origin, residual).
-
-    The order-M series spans M * (max(0, kmax) - min(0, kmin)) + 1 indices;
-    beyond GRID_BUDGET (or a jump array already beyond it) raises Diverged
-    before anything that size is allocated.
-    """
-    kmin, kmax = min(ks), max(ks)
-    span = max(0, kmax) - min(0, kmin)
-    if kmax - kmin + 1 > GRID_BUDGET:
-        raise Diverged(
-            f"d = 1 series jump spans {kmax - kmin + 1} indices, beyond the grid budget of {GRID_BUDGET}"
-        )
-    jump = np.zeros(kmax - kmin + 1)
-    for k, lam in zip(ks, lams):
-        jump[k - kmin] = lam
-    norm = float(np.sum(np.abs(jump)))
-    scale = math.exp(-float(np.sum(jump)))
-    order, series_tail = _series_order(norm, scale, params)
-    if order * span + 1 > GRID_BUDGET:
-        raise Diverged(
-            f"d = 1 series of order {order} spans {order * span + 1} indices, "
-            f"beyond the grid budget of {GRID_BUDGET}"
-        )
-    prune = params.tol / (10.0 * max(order, 1))
-
-    acc = np.array([1.0])
-    acc_origin = 0
-    term = np.array([1.0])
-    term_origin = 0
-    discarded = 0.0
-    for n in range(1, order + 1):
-        term = np.convolve(term, jump) / n
-        term_origin += kmin
-        small = (np.abs(term) < prune) & (term != 0.0)
-        discarded += float(np.sum(np.abs(term[small])))
-        term = np.where(small, 0.0, term)
-        lo = min(acc_origin, term_origin)
-        hi = max(acc_origin + len(acc), term_origin + len(term))
-        merged = np.zeros(hi - lo)
-        merged[acc_origin - lo : acc_origin - lo + len(acc)] = acc
-        merged[term_origin - lo : term_origin - lo + len(term)] += term
-        acc, acc_origin = merged, lo
-    return scale * acc, acc_origin, series_tail + scale * discarded
-
-
 def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[int, int, float]:
     """Window (lo, length) of one axis of the series array, and the mass bound outside it.
 
@@ -164,7 +116,7 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
 
 
 def _compound_exp_fourier(lambdas: Mapping[Coords, float], params: ExpSeriesParams):
-    """d >= 2 series by the convolution theorem; returns (atoms, residual).
+    """The series by the convolution theorem, for any d; returns (atoms, residual).
 
     The weights go on a real array whose window along each axis holds the
     series' mass (see _axis_window), a power of two per axis.  The cyclic
@@ -258,31 +210,18 @@ def compound_exp(
     """Exponentiate a triplet into a signed atomic measure.
 
     Returns the measure and a bound on its l1 distance to the exact
-    exponential: the series tail plus the pruned atoms, and for d >= 2 the
-    mass folded over by the FFT and the roundoff bound of the Fourier-space
-    evaluation.  The total integral is
-    1 up to that bound, since the exponent vanishes at t = 0.
+    exponential: the series tail, the pruned atoms, the mass folded over
+    by the FFT and the roundoff bound of the Fourier-space evaluation.
+    The total integral is 1 up to that bound, since the exponent vanishes
+    at t = 0.
     """
     if params is None:
         params = ExpSeriesParams()
-    d = triplet.d
     gamma = triplet.gamma_coords
     if not triplet.lambdas:
         return SignedAtomicMeasure(triplet.basis, {gamma: 1.0}), 0.0
-    if d == 1:
-        ks = [c[0] for c in triplet.lambdas]
-        lams = list(triplet.lambdas.values())
-        weights, origin, residual = _compound_exp_dense(ks, lams, params)
-        atoms = {
-            (origin + i + gamma[0],): float(w)
-            for i, w in enumerate(weights)
-            if w != 0.0
-        }
-    else:
-        raw, residual = _compound_exp_fourier(triplet.lambdas, params)
-        atoms = {
-            tuple(c + g for c, g in zip(coords, gamma)): w for coords, w in raw.items()
-        }
+    raw, residual = _compound_exp_fourier(triplet.lambdas, params)
+    atoms = {tuple(c + g for c, g in zip(coords, gamma)): w for coords, w in raw.items()}
     return SignedAtomicMeasure(triplet.basis, atoms), residual
 
 

@@ -118,8 +118,10 @@ class SeparationCertificate:
                     inf|f| <= zero_tol by density, even if f itself never
                     vanishes.
       "undecided":  depth/cell budget exhausted; best_inf_estimate reports
-                    the smallest sampled |phi~|.  Never to be read as a
-                    class-membership claim either way.
+                    the smallest sampled |phi~|, and
+                    search_log["depth_exhausted"] is True when max_depth,
+                    False when max_cells, ended the search.  Never to be
+                    read as a class-membership claim either way.
     search_log holds the cells popped, the deepest depth reached and the
     rounding_margin taken off every cell bound.
     """
@@ -306,7 +308,7 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
                 search_log=log(slack=best_ub - lb),
             )
         if depth >= params.max_depth or cells_seen >= params.max_cells:
-            depth_exhausted = True
+            depth_exhausted = depth >= params.max_depth
             break
         if len(levels) == depth + 1:
             axis, radii = levels[depth][0], np.array(levels[depth][1])

@@ -175,12 +175,6 @@ class QuasiTriplet:
     def ell1(self) -> float:
         return float(sum(abs(v) for v in self._lambdas.values()))
 
-    def frequency_items(self) -> list[tuple[float, Coords, float]]:
-        """(u value, coords, lambda) sorted by (|u|, sign, coords)."""
-        items = [(float(self.basis.value(c)), c, lam) for c, lam in self._lambdas.items()]
-        items.sort(key=lambda e: (abs(e[0]), 0 if e[0] < 0 else 1, e[1]))
-        return items
-
     def __eq__(self, other):
         if not isinstance(other, QuasiTriplet):
             return NotImplemented

@@ -84,17 +84,17 @@ class TestCompoundExp:
             measure, residual = compound_exp(trip)
             assert float(measure.total()) == pytest.approx(1.0, abs=residual + 1e-11)
 
-    def test_fourier_path_matches_dense(self):
-        # the same exponent through the d=1 dense array and through the
-        # d=2 Fourier-space route (frequencies embedded on the first axis)
+    def test_d1_layout_matches_d2_embedding(self):
+        # the same exponent as a d=1 triplet and as a d=2 one with its
+        # frequencies embedded on the first axis
         lambdas = {1: 0.6, 3: -0.15}
-        dense, _ = compound_exp(QuasiTriplet(B1, (0,), {(k,): v for k, v in lambdas.items()}))
+        line, _ = compound_exp(QuasiTriplet(B1, (0,), {(k,): v for k, v in lambdas.items()}))
         basis2 = FrequencyBasis((1, math.sqrt(2)))
-        sparse, _ = compound_exp(
+        planar, _ = compound_exp(
             QuasiTriplet(basis2, (0, 0), {(k, 0): v for k, v in lambdas.items()})
         )
-        for (k,), w in dense.atoms.items():
-            assert sparse.atoms.get((k, 0), 0.0) == pytest.approx(w, abs=1e-12)
+        for (k,), w in line.atoms.items():
+            assert planar.atoms.get((k, 0), 0.0) == pytest.approx(w, abs=1e-12)
 
 
 def exact_series(lambdas: dict, terms: int) -> dict:
@@ -121,6 +121,7 @@ def exact_series(lambdas: dict, terms: int) -> dict:
 class TestFourierSeries:
     @pytest.mark.parametrize("tol", [1e-12, 1e-30])
     @pytest.mark.parametrize("basis, lambdas, terms", [
+        (B1, {(1,): Fraction(1, 4), (3,): Fraction(1, 8), (-2,): Fraction(-1, 16)}, 40),
         (FrequencyBasis((1, math.sqrt(2))),
          {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 8), (1, -1): Fraction(-1, 16)}, 40),
         (FrequencyBasis((1, math.sqrt(2), math.sqrt(3))),
@@ -130,7 +131,7 @@ class TestFourierSeries:
         # shorter than the series' reach, so the FFT folds mass over
         (FrequencyBasis((1, math.sqrt(2))),
          {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 8), (12, -9): Fraction(1, 512)}, 30),
-    ], ids=["d2", "d3", "d2-windowed"])
+    ], ids=["d1", "d2", "d3", "d2-windowed"])
     def test_within_residual_of_exact_series(self, basis, lambdas, terms, tol):
         # the exact series runs far past the float one's order, so the l1 gap
         # holds the series tail, the pruned atoms and the roundoff; at tol 1e-30

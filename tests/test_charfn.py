@@ -233,6 +233,17 @@ class TestCertifySeparation:
         assert cert.verdict == "undecided"
         assert cert.search_log["cells"] == 50
 
+    def test_depth_exhausted_names_the_budget_that_stopped(self):
+        law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        by_cells = certify_separation(law, SeparationParams(max_cells=10))
+        assert by_cells.verdict == "undecided"
+        assert by_cells.search_log["max_depth"] < SeparationParams().max_depth
+        assert by_cells.search_log["depth_exhausted"] is False
+        by_depth = certify_separation(law, SeparationParams(max_depth=6))
+        assert by_depth.verdict == "undecided"
+        assert by_depth.search_log["max_depth"] == 6
+        assert by_depth.search_log["depth_exhausted"] is True
+
     @pytest.mark.parametrize("bad", [
         {"target_gap": 0.0}, {"target_gap": 2.0}, {"target_gap": math.nan}, {"max_depth": -1},
         {"max_cells": 0}, {"zero_tol": -1e-10}, {"zero_tol": math.nan},
