@@ -31,6 +31,7 @@ import numpy as np
 from .charfn import UNIT_ROUNDOFF, _gamma
 from .errors import Diverged, InvalidArgument, NegativeMassBeyondTolerance
 from .measures import Coords, DiscreteLaw, SignedAtomicMeasure, convolve
+from .measures import hermite_basis, lattice_coords, lattice_points
 from .spectral import GRID_BUDGET, QuasiTriplet
 
 NEGATIVE_MASS_TOL = 1e-9  # per-atom: separates genuinely signed results from roundoff
@@ -116,7 +117,7 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
 
 
 def _compound_exp_fourier(lambdas: Mapping[Coords, float], params: ExpSeriesParams):
-    """The series by the convolution theorem, for any d; returns (atoms, residual).
+    """The series by the convolution theorem, for any d; returns (coords, weights, residual).
 
     The weights go on a real array whose window along each axis holds the
     series' mass (see _axis_window), a power of two per axis.  The cyclic
@@ -164,8 +165,7 @@ def _compound_exp_fourier(lambdas: Mapping[Coords, float], params: ExpSeriesPara
     discarded = float(np.sum(mags[~keep]))
     cells = np.argwhere(keep)
     coords = lo + (cells - lo) % shape  # the representative of each residue class in the window
-    atoms = {tuple(int(c) for c in coord): float(w) for coord, w in zip(coords, series[keep])}
-    return atoms, series_tail + wrapped + discarded + roundoff
+    return coords, series[keep], series_tail + wrapped + discarded + roundoff
 
 
 def _fourier_roundoff(
@@ -213,15 +213,19 @@ def compound_exp(
     exponential: the series tail, the pruned atoms, the mass folded over
     by the FFT and the roundoff bound of the Fourier-space evaluation.
     The total integral is 1 up to that bound, since the exponent vanishes
-    at t = 0.
+    at t = 0.  The series runs on Z^r: the frequencies span B Z^r
+    (measures.hermite_basis), the weight at B k goes to k, and an output
+    atom at m lands at gamma + B m.
     """
     if params is None:
         params = ExpSeriesParams()
     gamma = triplet.gamma_coords
     if not triplet.lambdas:
         return SignedAtomicMeasure(triplet.basis, {gamma: 1.0}), 0.0
-    raw, residual = _compound_exp_fourier(triplet.lambdas, params)
-    atoms = {tuple(c + g for c, g in zip(coords, gamma)): w for coords, w in raw.items()}
+    columns = hermite_basis(triplet.lambdas)
+    reduced = dict(zip(lattice_coords(columns, list(triplet.lambdas)), triplet.lambdas.values()))
+    coords, weights, residual = _compound_exp_fourier(reduced, params)
+    atoms = dict(zip(lattice_points(gamma, columns, coords.tolist()), weights.tolist()))
     return SignedAtomicMeasure(triplet.basis, atoms), residual
 
 

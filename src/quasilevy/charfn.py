@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgument, NotSeparated
-from .measures import DiscreteLaw
+from .measures import DiscreteLaw, reduce_support
 
 TWO_PI = 2.0 * math.pi
 UNIT_ROUNDOFF = 2.0**-53
@@ -45,15 +45,16 @@ class TorusFunction:
         self.d = law.basis.d
         self.coords = np.array(list(law.atoms.keys()), dtype=float)
         self.masses = np.array([float(m) for m in law.atoms.values()])
-        # per-coordinate Lipschitz bound of phi~: |d phi~/d theta_j| <= sum_k p_k |c_kj|
-        self.lipschitz = np.abs(self.coords).T @ self.masses
 
     def __call__(self, theta) -> complex:
         theta = np.asarray(theta, dtype=float)
         return complex(np.sum(self.masses * np.exp(1j * (self.coords @ theta))))
 
     def eval_grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        """Evaluate on a tensor grid; axes[j] holds the theta_j samples."""
+        """Evaluate on a tensor grid; axes[j] holds the theta_j samples.
+
+        No library code calls it; it stays because the benchmark times it.
+        """
         shape = tuple(len(a) for a in axes)
         out = np.zeros(shape, dtype=complex)
         for ck, p in zip(self.coords, self.masses):
@@ -112,18 +113,21 @@ class SeparationCertificate:
                     sum_j |Re(conj(u) d_j phi~(c))| r_j - 1/2 sum_k p_k
                     (|c_k|.r)^2) - rounding_margin >= mu, u the phase of
                     phi~(c).  search_log["slack"] is best_inf_estimate - mu.
-      "zero_found": a torus point with |phi~| <= zero_tol was exhibited.
-                    For d = 1 this is a genuine zero of f (zero_t gives the
-                    location on the line); for d >= 2 it only proves
-                    inf|f| <= zero_tol by density, even if f itself never
-                    vanishes.
+      "zero_found": a torus point zero_theta with |phi~| <= zero_tol was
+                    exhibited.  When the support spans a rank-1 lattice
+                    c0 + B Z (as every d = 1 law) and B^T alpha != 0, it is
+                    a genuine zero of f, at zero_t on the line.
+                    torus_infimum_only is set only when r >= 2: then it only
+                    proves inf|f| <= zero_tol by density, even if f itself
+                    never vanishes.
       "undecided":  depth/cell budget exhausted; best_inf_estimate reports
                     the smallest sampled |phi~|, and
                     search_log["depth_exhausted"] is True when max_depth,
                     False when max_cells, ended the search.  Never to be
                     read as a class-membership claim either way.
-    search_log holds the cells popped, the deepest depth reached and the
-    rounding_margin taken off every cell bound.
+    search_log holds the cells popped, the deepest depth reached, the
+    rounding_margin taken off every cell bound and the rank r of the
+    support lattice the search ran on.
     """
 
     verdict: str
@@ -193,7 +197,13 @@ def _evaluate(weights: np.ndarray, coords: np.ndarray, theta: np.ndarray) -> np.
 def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None) -> SeparationCertificate:
     """Branch-and-bound proof or refutation of |f(t)| >= mu > 0 on the torus.
 
-    A cell of [0, 2pi]^d with centre c and half-widths r carries the lower
+    The search runs on the reduced support c0 + B Z^r (reduce_support):
+    with P the lift of the masses keyed by m, |phi~(theta)| = |P(B^T theta)|
+    and theta -> B^T theta maps the torus onto [0, 2pi]^r, so both have the
+    same infimum.  The c_k below are the reduced coords m_k less those of
+    the heaviest atom, which leaves |P| as it is; when that atom carries
+    more than half the mass, each L_j = sum_k p_k |c_kj| is then least.
+    A cell of [0, 2pi]^r with centre c and half-widths r carries the lower
     bound max(|phi~(c)| - L.r, |phi~(c)| - sum_j |Re(conj(u) d_j phi~(c))| r_j
     - 1/2 sum_k p_k (|c_k|.r)^2) - rounding_margin, u = phi~(c)/|phi~(c)|.
     The first term is the Lipschitz bound; the second follows from
@@ -213,42 +223,42 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     """
     if params is None:
         params = SeparationParams()
-    phi = torus_lift(law)
-    d = phi.d
-    lip = phi.lipschitz
     independent = law.basis.declared_independent
-
-    if float(lip.sum()) == 0.0:
-        # degenerate law: one atom at the origin, |phi~| is 1 exactly
+    _, columns, reduced = reduce_support(law.atoms)
+    rank = len(columns)
+    if rank == 0:  # a point mass: |phi~| is 1 exactly
         return SeparationCertificate(
             verdict="certified", mu=1.0, best_inf_estimate=1.0,
             independence_assumed=independent,
-            search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0},
+            search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0},
         )
-
-    margin = rounding_margin(phi.coords, phi.masses)
-    spans = np.abs(phi.coords)
-    k = len(phi.masses)
+    coords = np.array(list(reduced), dtype=float)
+    masses = np.array([float(m) for m in reduced.values()])
+    coords -= coords[np.argmax(masses)]  # moving the law leaves |P| alone and shrinks L.r
+    lip = np.abs(coords).T @ masses
+    margin = rounding_margin(coords, masses)
+    spans = np.abs(coords)
+    k = len(masses)
 
     def level(radii: np.ndarray) -> tuple:
         """(split axis, radii, L.r, 1/2 sum_k p_k (|c_k|.r)^2) for the cells of one depth."""
         return (
             int(np.argmax(lip * radii)),
             radii.tolist(),
-            _round_up(float(lip @ radii), k + d),
-            _round_up(0.5 * float(phi.masses @ (spans @ radii) ** 2), k + 2 * d + 2),
+            _round_up(float(lip @ radii), k + rank),
+            _round_up(0.5 * float(masses @ (spans @ radii) ** 2), k + 2 * rank + 2),
         )
 
-    levels = [level(np.full(d, math.pi))]
+    levels = [level(np.full(rank, math.pi))]
 
-    weights = np.vstack([phi.masses, phi.coords.T * phi.masses])
+    weights = np.vstack([masses, coords.T * masses])
 
     def cells(indices: list, depth: int) -> tuple[np.ndarray, list, list]:
         """Centres, bounds and sampled moduli of the cells with these indices at one depth."""
         _, radii, lip_r, quad = levels[depth]
         theta = np.array([[(2 * m + 1) * r for m, r in zip(idx, radii)] for idx in indices]).T
         bounds, moduli = [], []
-        for value, *grad in _evaluate(weights, phi.coords, theta).T.tolist():
+        for value, *grad in _evaluate(weights, coords, theta).T.tolist():
             v = abs(value)
             bound = v - lip_r
             if v > margin:  # otherwise every bound is <= 0; this also keeps 0 out of the division
@@ -263,27 +273,29 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     counter = itertools.count()
 
     def log(**extra) -> dict:
-        return {"cells": cells_seen, "max_depth": max_depth_seen, "rounding_margin": margin, **extra}
+        return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin, rank=rank, **extra)
 
-    root = (0,) * d
+    root = (0,) * rank
     theta, (lb0,), (best_ub,) = cells([root], 0)
     best_theta = tuple(theta[:, 0].tolist())
     heap: list = [(lb0, next(counter), 0, root)]
 
     def verdict_zero() -> SeparationCertificate:
-        zero_t = None
-        if d == 1:
-            alpha = float(law.basis.alphas[0])
-            if alpha != 0:
-                zero_t = best_theta[0] / alpha
+        # a preimage of the point found, B^T theta = best_theta, nonzero on the pivots of B only:
+        # row i of B^T is zero left of its pivot, so back substitution solves it
+        theta = [0.0] * law.basis.d
+        for b, phi in reversed(list(zip(columns, best_theta))):
+            p = next(j for j, x in enumerate(b) if x)
+            theta[p] = (phi - sum(x * t for x, t in zip(b, theta))) / b[p]
+        beta = float(law.basis.value(columns[0])) if rank == 1 else 0.0  # |f(t)| = |P(t B^T alpha)|
         return SeparationCertificate(
             verdict="zero_found",
-            zero_theta=best_theta,
+            zero_theta=tuple(t % TWO_PI for t in theta),
             zero_value=best_ub,
-            zero_t=zero_t,
+            zero_t=best_theta[0] / beta if beta else None,
             best_inf_estimate=best_ub,
             depth=max_depth_seen,
-            torus_infimum_only=(d >= 2),
+            torus_infimum_only=(rank >= 2),
             independence_assumed=independent,
             search_log=log(),
         )

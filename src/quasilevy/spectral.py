@@ -3,16 +3,17 @@
 A discrete law whose characteristic function f is separated from zero has
 a global distinguished logarithm, and Ln f is an almost periodic function
 whose Fourier coefficients live on the support module.  Numerically this
-becomes one extraction core for every dimension d: place the masses at
-their integer coords mod n on an n^d grid, lift f to the torus as the
-inverse DFT of that grid, continue the phase axis by axis, peel off the
-integer winding numbers of the axis loops, and read the remaining
-coefficients from a DFT.  The grid doubles until the phase-jump,
-imaginary-part, alias and reconstruction-residual guards all pass.  The
-winding numbers give the shift gamma as an exact integer combination of
-the basis; the DFT coefficients give the real spectral weights lambda_u
-with an l1 tail that is tracked explicitly.  triplet_lattice and
-triplet_multibasis differ only in how they place the atoms and read gamma.
+becomes one extraction routine for every basis.  The support is first
+written as c0 + B Z^r (measures.reduce_support), so a lattice law, a law
+over an irrational basis and a rank-deficient support are all laws on
+Z^r.  The reduced masses go to their coords mod n on an n^r grid, f is
+lifted to the torus as the inverse DFT of that grid, the phase is
+continued axis by axis, the integer winding numbers w of the axis loops
+are peeled off, and the remaining coefficients are read from a DFT.  The
+grid doubles until the phase-jump, imaginary-part, alias and
+reconstruction-residual guards all pass.  The shift is gamma = c0 + B w,
+an exact integer combination of the basis, and a reduced frequency k is
+the frequency B k, with an l1 tail that is tracked explicitly.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ import numpy as np
 
 from .charfn import SeparationParams, cf_eval, require_separated
 from .errors import InvalidArgument, NonConvergent, NonpositiveTau, StepTooCoarse, ZeroOnPath
-from .measures import (
-    Coords,
-    DiscreteLaw,
-    FrequencyBasis,
-    Scalar,
-    is_exact,
-    lattice_masses,
-    to_lattice_form,
-)
+from .measures import Coords, DiscreteLaw, FrequencyBasis, Scalar, is_exact, lattice_points, reduce_support
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_STEP_GUARD = 0.9 * math.pi
@@ -209,9 +202,10 @@ def cf_from_triplet(triplet: QuasiTriplet, t):
 class TripletParams:
     """Grid and tolerance knobs for triplet extraction.
 
-    n_init None picks 1024 samples per axis for d = 1 and 64 for d >= 2,
-    raised by doubling to at least 4 * (spread + 1), spread being the
-    widest coordinate range of the support on one axis.  From there the
+    The grid is laid over the reduced support c0 + B Z^r, so d below is
+    the rank r and spread the widest range of the reduced coords m on one
+    axis.  n_init None picks 1024 samples per axis for d = 1 and 64 for
+    d >= 2, raised by doubling to at least 4 * (spread + 1).  From there the
     grid doubles until the phase steps, the imaginary-part and aliasing
     guards, and the reconstruction residual all pass, or n_max is
     exceeded; a grid of more than GRID_BUDGET points raises NonConvergent.
@@ -298,19 +292,17 @@ def _extract_pass(q: np.ndarray, params: TripletParams):
     if residual > params.tol:
         return "residual", residual
 
-    lambdas = {
-        tuple(int(f) for f in freqs[idx]): float(coeffs.real[tuple(idx)]) for idx in np.argwhere(keep)
-    }
-    return None, (tuple(windings), lambdas, dropped + alias_mass, residual, max_imag)
+    weights = (freqs[np.argwhere(keep)], coeffs.real[keep])
+    return None, (tuple(windings), weights, dropped + alias_mass, residual, max_imag)
 
 
 def _extract(atoms: Mapping[Coords, Scalar], params: TripletParams, input_tv_error: float):
     """Double the grid from initial_n until a pass clears every guard.
 
     atoms maps integer coords to masses.  Returns the windings, the
-    lambdas keyed by integer frequency vectors, the tail bound, and the
-    diagnostics, whose "passes" lists every rejected pass as
-    {n, guard, value}.
+    weights as an (n, d) array of integer frequency vectors and their
+    values, the tail bound, and the diagnostics, whose "passes" lists
+    every rejected pass as {n, guard, value}.
     """
     coords = np.array(list(atoms), dtype=int)
     masses = np.array([float(m) for m in atoms.values()])
@@ -324,10 +316,10 @@ def _extract(atoms: Mapping[Coords, Scalar], params: TripletParams, input_tv_err
         np.add.at(q, tuple((coords % n).T), masses)
         guard, value = _extract_pass(q, params)
         if guard is None:
-            windings, lambdas, tail, residual, max_imag = value
-            tail += _truncation_tail(input_tv_error, sum(abs(v) for v in lambdas.values()))
+            windings, weights, tail, residual, max_imag = value
+            tail += _truncation_tail(input_tv_error, float(np.abs(weights[1]).sum()))
             diagnostics = {"grid_n": n, "residual": residual, "max_imag": max_imag, "passes": passes}
-            return windings, lambdas, tail, diagnostics
+            return windings, weights, tail, diagnostics
         passes.append({"n": n, "guard": guard, "value": value})
         n *= 2
     raise NonConvergent(f"triplet extraction did not converge by n_max={params.n_max}")
@@ -351,66 +343,43 @@ def _truncation_tail(input_tv_error: float, ell1: float) -> float:
     return -math.log1p(-qv)
 
 
-def triplet_lattice(
+def extract_triplet(
     law: DiscreteLaw,
     params: TripletParams | None = None,
     input_tv_error: float = 0.0,
 ) -> QuasiTriplet:
-    """Triplet of a law on an arithmetic progression a + b*Z.
+    """Triplet of a separated law, over any basis.
 
-    Separation is certified first.  The masses are re-indexed from the
-    smallest lattice index, so the grid tracks the index spread; gamma =
-    a + b*m with m the winding number of the period function, and
-    lambda_{b*k} comes from the DFT of the distinguished log minus the
-    winding term.  input_tv_error is the total-variation error of an
+    Separation is certified first.  The support is reduced to c0 + B Z^r,
+    and the extraction runs on the masses keyed by m, so the grid tracks
+    the spread of m and has r axes.  gamma = c0 + B w with w the winding
+    numbers of the axis loops, and the weight of the reduced frequency k
+    is lambda_(B k).  input_tv_error is the total-variation error of an
     upstream support truncation; it enters tail_bound through the
-    Wiener-norm log bound.
-    """
-    if params is None:
-        params = TripletParams()
-    law = to_lattice_form(law)
-    cert = require_separated(law, params.separation)
-    masses = lattice_masses(law)
-    lmin = min(masses)
-    (m_g,), lambdas_k, tail, diagnostics = _extract(
-        {(l - lmin,): m for l, m in masses.items()}, params, input_tv_error
-    )
-    lf = law.lattice_form
-    span = lf.span_coord
-    offset = lf.offset_coord + span * lmin  # index 0 sits at lmin, not at the lattice origin
-    return QuasiTriplet(
-        law.basis,
-        (offset + span * m_g,),
-        {(span * k,): v for (k,), v in lambdas_k.items()},
-        tail_bound=tail,
-        diagnostics={**diagnostics, "winding": m_g, "certificate": cert},
-    )
-
-
-def triplet_multibasis(
-    law: DiscreteLaw,
-    params: TripletParams | None = None,
-    input_tv_error: float = 0.0,
-) -> QuasiTriplet:
-    """Triplet over a declared d-dimensional frequency basis.
-
-    The atoms go to the extraction core at their raw coords (mod n), so
-    the winding numbers of the axis loops are the gamma coords and the
-    d-dimensional DFT of the distinguished log gives the weights.  The
-    d = 1 case agrees with triplet_lattice (same frequency coords, same
-    exact gamma).
+    Wiener-norm log bound.  diagnostics["lattice"] holds (c0, columns of B).
     """
     if params is None:
         params = TripletParams()
     cert = require_separated(law, params.separation)
-    windings, lambdas, tail, diagnostics = _extract(law.atoms, params, input_tv_error)
+    c0, columns, masses = reduce_support(law.atoms)
+    if columns:
+        windings, (keys, values), tail, diagnostics = _extract(masses, params, input_tv_error)
+    else:  # a point mass: gamma = c0 and no weights, with no grid to lay
+        windings, keys, values = (), np.zeros((0, 0), int), np.zeros(0)
+        tail = _truncation_tail(input_tv_error, 0.0)
+        diagnostics = {"grid_n": 1, "residual": 0.0, "max_imag": 0.0, "passes": []}
     return QuasiTriplet(
         law.basis,
-        windings,
-        lambdas,
+        lattice_points(c0, columns, [windings])[0],
+        dict(zip(lattice_points((0,) * law.basis.d, columns, keys.tolist()), values.tolist())),
         tail_bound=tail,
-        diagnostics={**diagnostics, "winding": windings, "certificate": cert},
+        diagnostics={**diagnostics, "winding": windings, "certificate": cert, "lattice": (c0, columns)},
     )
+
+
+# The benchmark's tracer hooks these two names, in this module and in limits.
+triplet_lattice = extract_triplet
+triplet_multibasis = extract_triplet
 
 
 # --- derived quantities --------------------------------------------------------
@@ -497,8 +466,8 @@ def truncate_renormalize(law: DiscreteLaw, n_atoms: int) -> tuple[DiscreteLaw, f
     """Keep the n heaviest atoms, renormalize, and bound the CF error.
 
     Returns the truncated law and a sup-norm bound on |f - f_n| over all
-    real t, namely twice the dropped mass; feed that bound to the triplet
-    extractors as input_tv_error so it lands in tail_bound.
+    real t, namely twice the dropped mass; feed that bound to
+    extract_triplet as input_tv_error so it lands in tail_bound.
     """
     if n_atoms < 1:
         raise ValueError("keep at least one atom")

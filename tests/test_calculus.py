@@ -180,9 +180,23 @@ class TestFourierSeries:
         from quasilevy import Diverged
 
         basis = FrequencyBasis((1, math.sqrt(2)))
-        for lambdas in ({(1000, 0): 0.2, (0, -1000): 0.2}, {(10**30, 0): 0.2, (0, 1): 0.2}):
+        # the frequencies span Z^2, so the series runs on these coords as they are
+        for lambdas in ({(1000, 0): 0.2, (1001, 0): 0.1, (0, -1000): 0.2, (0, -1001): 0.1},
+                        {(10**30, 0): 0.2, (10**30 + 1, 0): 0.1, (0, 1): 0.2}):
             with pytest.raises(Diverged, match="grid budget"):
                 compound_exp(QuasiTriplet(basis, (0, 0), lambdas))
+
+    def test_frequencies_reduce_to_their_lattice(self):
+        # the frequencies span 1000 Z x 1000 Z: the series runs on Z^2 and its atoms land on
+        # the product of two Poisson(0.2) laws at exact multiples of 1000
+        basis = FrequencyBasis((1, math.sqrt(2)))
+        measure, residual = compound_exp(QuasiTriplet(basis, (1, 2), {(1000, 0): 0.2, (0, -1000): 0.2}))
+        assert residual <= 1e-12
+        assert all((c[0] - 1) % 1000 == 0 and (c[1] - 2) % 1000 == 0 for c in measure.atoms)
+        for a in range(4):
+            for b in range(4):
+                exact = math.exp(-0.4) * 0.2 ** (a + b) / (math.factorial(a) * math.factorial(b))
+                assert measure.atoms[(1 + 1000 * a, 2 - 1000 * b)] == pytest.approx(exact, abs=1e-13)
 
 
 class TestReconstructLaw:
@@ -352,8 +366,10 @@ class TestSeriesControls:
     def test_d1_diverged_beyond_grid_budget(self):
         from quasilevy import Diverged
 
-        # the series of order M spans M * 10**15 indices; the jump of the second spans 10**15
-        for lambdas in ({(10**15,): 0.1}, {(1,): 0.1, (-(10**15),): 1e-20}, {(10**6,): 0.5}):
+        # the frequencies have gcd 1, so none of them is reduced: the series of order M
+        # spans M * 10**15 indices; the jump of the second spans 10**15
+        for lambdas in ({(10**15,): 0.1, (10**15 + 1,): 0.1}, {(1,): 0.1, (-(10**15),): 1e-20},
+                        {(10**6,): 0.5, (10**6 + 1,): 0.1}):
             with pytest.raises(Diverged, match="grid budget"):
                 compound_exp(QuasiTriplet(B1, (0,), lambdas))
 

@@ -12,6 +12,7 @@ from quasilevy import (
     certify_separation,
     cf_eval,
     dominant_mass_bound,
+    reduce_support,
     torus_lift,
 )
 from quasilevy import charfn
@@ -170,8 +171,8 @@ class TestCertifySeparation:
             law = random_lattice_law(rng, max_width=8, rational_fraction=0.5)
             cert = certify_separation(law, SeparationParams(target_gap=0.9999, max_depth=60))
             assert cert.verdict == "certified"
-            lf = law.lattice_form
-            period = 2 * math.pi / float(lf.span)
+            _, columns, _ = reduce_support(law.atoms)
+            period = 2 * math.pi / float(law.basis.value(columns[0]))
             vals, masses = law_values_masses(law)
             pmin = dense_min_abs_cf(vals, masses, period, 4_000_000)
             assert pmin >= cert.mu - 1e-9
@@ -203,7 +204,7 @@ class TestCertifySeparation:
 
         def spy(weights, coords, theta):
             out = evaluate(weights, coords, theta)
-            seen.append((theta.copy(), out[0].copy()))
+            seen.append((coords.astype(int).tolist(), weights[0].tolist(), theta.copy(), out[0].copy()))
             return out
 
         monkeypatch.setattr(charfn, "_evaluate", spy)
@@ -215,9 +216,8 @@ class TestCertifySeparation:
             cert = certify_separation(law, SeparationParams(target_gap=gap))
             assert cert.verdict == "certified"
             margin = cert.search_log["rounding_margin"]
-            coords = list(law.atoms)
-            masses = [float(m) for m in law.atoms.values()]
-            for theta, values in seen:
+            # the search evaluates the reduced coords it was given, not the law's own
+            for coords, masses, theta, values in seen:
                 for centre, value in zip(theta.T.tolist(), values.tolist()):
                     args = [float(sum(c * Fraction(t) for c, t in zip(ck, centre))) for ck in coords]
                     exact = complex(math.fsum(p * math.cos(x) for p, x in zip(masses, args)),
@@ -226,6 +226,51 @@ class TestCertifySeparation:
                     assert gap_here <= margin
                     worst = max(worst, gap_here)
         assert worst > 0  # the check sees real rounding, not identical evaluations
+
+    def test_two_atom_d2_law_certifies_on_its_rank1_lattice(self):
+        # {(3, 1), (-2, -3)} is (-2, -3) + (5, 4) {0, 1}: the search runs on one axis, not on
+        # the plane, where it took 59,936 cells; inf |f| = 2 p - 1 = 0.24
+        law = DiscreteLaw.from_pairs(B2, [((3, 1), 0.62), ((-2, -3), 0.38)])
+        cert = certify_separation(law, SeparationParams(target_gap=0.999))
+        assert cert.verdict == "certified"
+        assert cert.search_log["rank"] == 1
+        assert cert.search_log["cells"] <= 64
+        assert 0.999 * 0.24 <= cert.mu <= 0.24 * (1 + 1e-12)
+
+    def test_rank1_zero_lies_on_the_line(self):
+        # (e^(it) + e^(i sqrt2 t)) / 2 vanishes where (sqrt 2 - 1) t is an odd multiple of pi
+        law = DiscreteLaw.from_pairs(B2, [((1, 0), 0.5), ((0, 1), 0.5)])
+        cert = certify_separation(law)
+        tol = SeparationParams().zero_tol
+        assert cert.verdict == "zero_found"
+        assert not cert.torus_infimum_only
+        assert cert.search_log["rank"] == 1
+        assert abs(cf_eval(law, cert.zero_t)) <= tol
+        assert abs(torus_lift(law)(cert.zero_theta)) <= tol
+
+    def test_zero_theta_is_a_preimage_of_the_reduced_zero(self):
+        law = DiscreteLaw.from_pairs(B1, [((1,), 0.5), ((4,), 0.5)])  # 1 + 3 {0, 1}
+        cert = certify_separation(law)
+        tol = SeparationParams().zero_tol
+        assert cert.verdict == "zero_found"
+        assert abs(torus_lift(law)(cert.zero_theta)) <= tol
+        assert abs(cf_eval(law, cert.zero_t)) <= tol
+
+    def test_point_mass_has_rank_zero(self):
+        cert = certify_separation(DiscreteLaw.from_pairs(B2, [((2, -1), 1.0)]))
+        assert (cert.verdict, cert.mu, cert.search_log["rank"]) == ("certified", 1.0, 0)
+
+    def test_dependent_basis_certifies_on_the_reduced_coords(self):
+        # B^T alpha = (2, 2) repeats, so the reduced law has no FrequencyBasis of its own
+        basis = FrequencyBasis((1, 2), declared_independent=False)
+        law = DiscreteLaw.from_pairs(basis, [((0, 0), 0.7), ((2, 0), 0.15), ((0, 1), 0.15)])
+        cert = certify_separation(law)
+        assert cert.verdict == "certified"
+        assert cert.independence_assumed is False
+        assert cert.search_log["rank"] == 2
+        axis = 2 * math.pi * np.arange(256) / 256
+        phi = torus_lift(law)
+        assert min(abs(phi((a, b))) for a in axis[::4] for b in axis[::4]) >= cert.mu
 
     def test_search_stops_at_max_cells(self):
         law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})

@@ -167,6 +167,18 @@ class TestCliCommands:
         main(["classify-id", trip_file])
         assert json.loads(capsys.readouterr().out)["infinitely_divisible"] is True
 
+    def test_reconstruct_single_huge_frequency(self, tmp_path, capsys):
+        # the one frequency 10**15 spans 10**15 Z: the series runs on Z and its atoms land
+        # at exact multiples of 10**15, with the Poisson(0.1) masses
+        trip_file = write(tmp_path, "t15.json", {"basis": [1], "gamma_coords": [0],
+                                                 "lambdas": [{"freq": [10**15], "value": 0.1}]})
+        assert main(["reconstruct", trip_file]) == 0
+        atoms = {a["coords"][0]: a["mass"] for a in json.loads(capsys.readouterr().out)["atoms"]}
+        assert set(atoms) == {j * 10**15 for j in range(len(atoms))}
+        assert len(atoms) >= 8
+        for j in range(len(atoms)):
+            assert atoms[j * 10**15] == pytest.approx(math.exp(-0.1) * 0.1**j / math.factorial(j), abs=1e-12)
+
     def test_triplet_on_zero_law_exits_1_with_payload(self, tmp_path, capsys):
         law_file = write(tmp_path, "bern_half.json", BERN_HALF_DOC)
         assert main(["triplet", law_file]) == 1
@@ -218,8 +230,9 @@ class TestCliCommands:
         repeated = write(tmp_path, "b11.json", {"basis": [1, 1], "atoms": [{"coords": [0, 0], "mass": 1}]})
         zero_freq = write(tmp_path, "t0.json", {"basis": [1], "gamma_coords": [0],
                                                 "lambdas": [{"freq": [0], "value": 0.1}]})
-        huge_freq = write(tmp_path, "t15.json", {"basis": [1], "gamma_coords": [0],
-                                                 "lambdas": [{"freq": [10**15], "value": 0.1}]})
+        # gcd 1: the frequencies are not reduced, so the series would span 10**15 indices
+        huge_freq = write(tmp_path, "t15.json", {"basis": [1], "gamma_coords": [0], "lambdas": [
+            {"freq": [10**15], "value": 0.1}, {"freq": [10**15 + 1], "value": 0.1}]})
         nan_mass = tmp_path / "nan.json"
         nan_mass.write_text('{"basis": [1], "atoms": [{"coords": [0], "mass": NaN}]}')
         huge = write(tmp_path, "huge.json", {"basis": [1], "atoms": [{"coords": [0], "mass": 10**400}]})

@@ -107,6 +107,27 @@ class TestCheckConvergence:
         with pytest.raises(LimitNotSeparated):
             check_convergence(seq)
 
+    def test_limit_certified_once(self, monkeypatch):
+        from quasilevy import charfn, limits
+
+        calls = []
+        certify = charfn.certify_separation
+
+        def counting(law, params=None):
+            calls.append((law, params))
+            return certify(law, params)
+
+        monkeypatch.setattr(charfn, "certify_separation", counting)  # reached through require_separated
+        monkeypatch.setattr(limits, "certify_separation", counting)
+        members = tuple(g_member(n) for n in (1, 4, 9))
+        separation = SeparationParams(target_gap=0.95)
+        check_convergence(LawSequence(members, limit=GEOMETRIC), separation=separation)
+        assert len(calls) == 4
+        assert [params for law, params in calls if law is GEOMETRIC] == [separation]
+        # an undecided limit certificate is still refused, under the parameters given for it
+        with pytest.raises(LimitNotSeparated, match="undecided"):
+            check_convergence(LawSequence(members, limit=GEOMETRIC), separation=SeparationParams(max_cells=1))
+
     def test_gamma_mismatch_fails(self):
         shifted = DiscreteLaw.from_lattice(
             {k + 1: m for (k,), m in GEOMETRIC.atoms.items()}

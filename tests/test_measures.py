@@ -14,10 +14,11 @@ from quasilevy import (
     SignedAtomicMeasure,
     convolve,
     module_generator,
-    to_lattice_form,
+    reduce_support,
     total_variation,
     validate_law,
 )
+from quasilevy.measures import lattice_masses, lattice_points
 
 B1 = FrequencyBasis((1,))
 
@@ -144,31 +145,38 @@ class TestModuleGenerator:
 
 
 class TestLatticeForm:
+    """The support written as c0 + B Z^r by reduce_support."""
+
     def test_unit_lattice(self):
-        law = to_lattice_form(law_on_z({0: 0.5, 1: 0.5}))
-        lf = law.lattice_form
-        assert (lf.offset, lf.span) == (0, 1)
+        law = law_on_z({0: 0.5, 1: 0.5})
+        assert reduce_support(law.atoms) == ((0,), ((1,),), {(0,): 0.5, (1,): 0.5})
+        assert lattice_masses(law) == {0: 0.5, 1: 0.5}
 
     def test_difference_gcd(self):
         law = DiscreteLaw.from_values([(Fraction(1, 2), 0.5), (Fraction(7, 6), 0.5)])
-        lf = to_lattice_form(law).lattice_form
-        assert lf.offset == Fraction(1, 2)
-        assert lf.span == Fraction(2, 3)
-        indices = sorted(lf.index_of(c) for c in law.atoms)
-        assert indices == [0, 1]
+        c0, columns, masses = reduce_support(law.atoms)
+        assert law.basis.value(c0) == Fraction(1, 2)
+        assert law.basis.value(columns[0]) == Fraction(2, 3)
+        assert sorted(masses) == [(0,), (1,)]
 
-    def test_multibasis_guard(self):
+    def test_d2_reduction(self):
         basis = FrequencyBasis((1, math.sqrt(2)))
-        law = DiscreteLaw.from_pairs(basis, [((0, 0), 0.5), ((0, 1), 0.5)])
-        with pytest.raises(IrrationalSupport):
-            to_lattice_form(law)
+        # two atoms span a rank-1 lattice
+        law = DiscreteLaw.from_pairs(basis, [((3, 1), 0.62), ((-2, -3), 0.38)])
+        assert reduce_support(law.atoms) == ((-2, -3), ((5, 4),), {(0,): 0.38, (1,): 0.62})
+        # a rank-2 sublattice of index 2: (1, 1) and (1, -1) span {a + b even}
+        law = DiscreteLaw.from_pairs(basis, [((0, 0), 0.5), ((1, 1), 0.25), ((1, -1), 0.25)])
+        c0, columns, masses = reduce_support(law.atoms)
+        assert c0 == (0, 0) and columns == ((1, 1), (0, 2))
+        assert dict(zip(lattice_points(c0, columns, list(masses)), masses.values())) == dict(law.atoms)
 
     def test_irrational_d1_is_fine(self):
         basis = FrequencyBasis((math.sqrt(2),))
-        law = to_lattice_form(DiscreteLaw.from_pairs(basis, [((0,), 0.5), ((2,), 0.5)]))
-        assert law.lattice_form.span_coord == 2
+        law = DiscreteLaw.from_pairs(basis, [((0,), 0.5), ((2,), 0.5)])
+        assert reduce_support(law.atoms)[1] == ((2,),)
 
     def test_lattice_consistency_checked(self):
         law = DiscreteLaw.from_values([(0, 0.25), (2, 0.25), (5, 0.5)])
-        lf = to_lattice_form(law).lattice_form
-        assert lf.span == 1  # gcd(2, 5)
+        _, columns, masses = reduce_support(law.atoms)
+        assert law.basis.value(columns[0]) == 1  # gcd(2, 5)
+        assert sorted(masses) == [(0,), (2,), (5,)]

@@ -1,6 +1,6 @@
-"""Property-based tests: the JSON loaders at the file boundary, d = 1
-agreement between the lattice and multibasis entry points of the
-extraction core, and certified separation against dense sampling."""
+"""Property-based tests: the JSON loaders at the file boundary, the
+support reduction c0 + B Z^r, a d = 1 law against its rank-1 lift into
+d = 2, and certified separation against dense sampling."""
 
 import math
 from fractions import Fraction
@@ -24,10 +24,11 @@ from quasilevy import (  # noqa: E402
     SeparationParams,
     SignedAtomicMeasure,
     certify_separation,
+    extract_triplet,
     jsonio,
-    triplet_lattice,
-    triplet_multibasis,
+    reduce_support,
 )
+from quasilevy.measures import hermite_basis, lattice_points  # noqa: E402
 
 # The law invariants keep their own error classes (and CLI payload names);
 # everything else that is wrong with a document is a ParseError.
@@ -135,6 +136,51 @@ def test_triplet_from_json_parses_or_reports(doc):
     assert isinstance(trip, QuasiTriplet)
 
 
+# generators of the differences: full rank, 2Z x Z, rank-deficient, and none at all
+LATTICE_GENERATORS = {
+    1: [[(1,)], [(3,)], []],
+    2: [[(1, 0), (0, 1)], [(2, 0), (0, 1)], [(1, 1), (1, -1)], [(2, -3)], [(3, 1), (6, 2)], []],
+    3: [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(2, 0, 0), (0, 1, 0), (0, 0, 3)], [(1, 2, 0), (0, 1, 1)],
+        [(1, -1, 2)], []],
+}
+
+
+@st.composite
+def integer_supports(draw):
+    """Distinct integer points c0 + G n in d = 1..3, G from LATTICE_GENERATORS or random."""
+    d = draw(st.integers(1, 3))
+    entries = st.integers(-4, 4)
+    gens = draw(st.sampled_from(LATTICE_GENERATORS[d])
+                | st.lists(st.tuples(*[entries] * d), min_size=1, max_size=3))
+    c0 = draw(st.tuples(*[st.integers(-10, 10)] * d))
+    steps = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+    ns = draw(st.lists(steps, min_size=1, max_size=6))
+    points = {tuple(c + sum(n * g[j] for n, g in zip(ns_k, gens)) for j, c in enumerate(c0)) for ns_k in ns}
+    return {p: Fraction(1, len(points)) for p in sorted(points)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_supports())
+def test_reduction_reproduces_every_atom(atoms):
+    c0, columns, masses = reduce_support(atoms)
+    assert c0 == min(atoms)
+    # c0 + B m gives back every atom exactly, with its mass
+    assert dict(zip(lattice_points(c0, columns, list(masses)), masses.values())) == atoms
+    # B has full column rank r, the rank of the differences
+    diffs = np.array([[a - b for a, b in zip(c, c0)] for c in atoms], dtype=float)
+    assert len(columns) == np.linalg.matrix_rank(diffs)
+    # and spans no more than the differences do: the m themselves span all of Z^r
+    identity = tuple(tuple(int(i == j) for j in range(len(columns))) for i in range(len(columns)))
+    assert hermite_basis(masses) == identity
+
+
+def lift(law: DiscreteLaw) -> DiscreteLaw:
+    """The d = 1 law c over alpha as (c, 2c) over (alpha - 2 beta, beta), beta = sqrt 2: same values."""
+    alpha, beta = float(law.basis.alphas[0]), math.sqrt(2)
+    basis = FrequencyBasis((alpha - 2 * beta, beta))
+    return DiscreteLaw.from_pairs(basis, [((c, 2 * c), m) for (c,), m in law.atoms.items()])
+
+
 @st.composite
 def dominant_lattice_laws(draw):
     """Law on offset + span*l whose heaviest atom carries more than half the mass."""
@@ -153,11 +199,17 @@ def dominant_lattice_laws(draw):
 @settings(max_examples=25, deadline=None)
 @given(dominant_lattice_laws())
 def test_multibasis_agrees_with_lattice(law):
-    t_lat = triplet_lattice(law)
-    t_mb = triplet_multibasis(law)
-    assert t_mb.gamma_coords == t_lat.gamma_coords
-    for k in set(t_lat.lambdas) | set(t_mb.lambdas):
-        assert abs(t_lat.lambdas.get(k, 0.0) - t_mb.lambdas.get(k, 0.0)) <= 1e-9
+    """A d = 1 law and its rank-1 lift into d = 2 reduce to the same law on Z."""
+    lifted = lift(law)
+    cert, cert2 = certify_separation(law), certify_separation(lifted)
+    assert (cert2.verdict, cert2.mu) == (cert.verdict, cert.mu)
+    trip, trip2 = extract_triplet(law), extract_triplet(lifted)
+    (g,) = trip.gamma_coords
+    assert trip2.gamma_coords == (g, 2 * g)
+    weights = {(k, 2 * k): v for (k,), v in trip.lambdas.items()}
+    keys = set(weights) | set(trip2.lambdas)
+    gap = sum(abs(weights.get(k, 0.0) - trip2.lambdas.get(k, 0.0)) for k in keys)
+    assert gap <= trip.tail_bound + trip2.tail_bound
 
 
 @st.composite

@@ -181,12 +181,16 @@ class TestTripletMultibasis:
         law = DiscreteLaw.from_lattice(
             {0: 0.6, 1: 0.25, 2: 0.15}, offset=Fraction(1, 2), span=Fraction(2, 3)
         )
+        # the same values over a basis half as fine: every coord doubles, the reduced law does not
+        (alpha,) = law.basis.alphas
+        finer = DiscreteLaw.from_pairs(FrequencyBasis((alpha / 2,)),
+                                       [((2 * c,), m) for (c,), m in law.atoms.items()])
         t_lat = triplet_lattice(law)
-        t_mb = triplet_multibasis(law)
-        assert t_lat.gamma_coords == t_mb.gamma_coords
-        assert set(t_lat.lambdas) == set(t_mb.lambdas)
-        for k in t_lat.lambdas:
-            assert t_lat.lambdas[k] == pytest.approx(t_mb.lambdas[k], abs=1e-9)
+        t_mb = triplet_multibasis(finer)
+        assert t_mb.gamma_value() == t_lat.gamma_value()
+        assert {t_mb.frequency_value(k): v for k, v in t_mb.lambdas.items()} == {
+            t_lat.frequency_value(k): v for k, v in t_lat.lambdas.items()}
+        assert t_mb.diagnostics["lattice"] == ((2 * t_lat.diagnostics["lattice"][0][0],), ((8,),))
 
     def test_irrational_basis_roundtrip(self):
         from quasilevy import reconstruct_law
