@@ -66,7 +66,6 @@ from .measures import (
     module_generator,
     reduce_support,
     total_variation,
-    validate_law,
 )
 from .spectral import (
     MeanMotion,

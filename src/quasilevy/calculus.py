@@ -251,10 +251,9 @@ def reconstruct_law(
         params = ExpSeriesParams()
     measure, residual = compound_exp(triplet, params)
     weights = dict(measure.atoms)
-    most_negative = min((float(w) for w in weights.values()), default=0.0)
-    if most_negative < -NEGATIVE_MASS_TOL:
+    if _classification(measure) == "signed":
         raise NegativeMassBeyondTolerance(
-            f"reconstruction is a signed measure (atom weight {most_negative}); "
+            f"reconstruction is a signed measure (atom weight {_most_negative(measure)}); "
             "the triplet does not correspond to a probability law"
         )
     clamped = -sum(float(w) for w in weights.values() if w < 0)
@@ -268,6 +267,19 @@ def reconstruct_law(
         error_bound=math.expm1(triplet.tail_bound + residual) + 2.0 * (clamped + abs(1.0 - total)),
     )
     return law, report
+
+
+def _most_negative(measure: SignedAtomicMeasure) -> float:
+    return min((float(w) for w in measure.atoms.values()), default=0.0)
+
+
+def _classification(measure: SignedAtomicMeasure) -> str:
+    """"probability" unless some atom weight is below -NEGATIVE_MASS_TOL, then "signed"."""
+    return "probability" if _most_negative(measure) >= -NEGATIVE_MASS_TOL else "signed"
+
+
+def _in_module(shift_coords: tuple[Fraction, ...]) -> bool:
+    return all(c.denominator == 1 for c in shift_coords)
 
 
 @dataclass(frozen=True)
@@ -326,18 +338,15 @@ def conv_power(
     )
     measure, residual = compound_exp(scaled, params)
     shift_coords = tuple(s_exact * m for m in triplet.gamma_coords)
-    in_module = all(c.denominator == 1 for c in shift_coords)
     shift_value = float(
         sum(float(c) * float(a) for c, a in zip(shift_coords, triplet.basis.alphas))
     )
-    most_negative = min((float(w) for w in measure.atoms.values()), default=0.0)
-    classification = "probability" if most_negative >= -NEGATIVE_MASS_TOL else "signed"
     return ConvPowerResult(
         measure=measure,
         shift_coords=shift_coords,
-        shift_in_module=in_module,
+        shift_in_module=_in_module(shift_coords),
         shift_value=shift_value,
-        classification=classification,
+        classification=_classification(measure),
         series_residual=residual,
         scaled_tail=sf * triplet.tail_bound,
     )
@@ -347,14 +356,12 @@ def convolve_powers(r1: ConvPowerResult, r2: ConvPowerResult) -> ConvPowerResult
     """Convolve two fractional powers; shifts add exactly."""
     measure = convolve(r1.measure, r2.measure)
     shift_coords = tuple(a + b for a, b in zip(r1.shift_coords, r2.shift_coords))
-    in_module = all(c.denominator == 1 for c in shift_coords)
-    most_negative = min((float(w) for w in measure.atoms.values()), default=0.0)
     return ConvPowerResult(
         measure=measure,
         shift_coords=shift_coords,
-        shift_in_module=in_module,
+        shift_in_module=_in_module(shift_coords),
         shift_value=r1.shift_value + r2.shift_value,
-        classification="probability" if most_negative >= -NEGATIVE_MASS_TOL else "signed",
+        classification=_classification(measure),
         series_residual=r1.series_residual + r2.series_residual,
         scaled_tail=r1.scaled_tail + r2.scaled_tail,
     )

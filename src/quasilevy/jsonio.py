@@ -20,7 +20,6 @@ from .errors import ParseError
 from .limits import (
     ConvergenceVerdict,
     RelativeCompactnessReport,
-    SeparationProbeReport,
     StochasticCompactnessReport,
 )
 from .measures import DiscreteLaw, FrequencyBasis, SignedAtomicMeasure
@@ -93,15 +92,33 @@ def _basis_to_json(basis: FrequencyBasis, doc: dict) -> dict:
     return doc
 
 
+# --- entries: [{<key>: coords, <value_key>: number}] -----------------------------
+
+
+def _entries_to_json(entries, key: str, value_key: str) -> list:
+    return [{key: list(c), value_key: scalar_to_json(v)} for c, v in sorted(entries.items())]
+
+
+def _entries_from_json(entries, where: str, key: str, value_key: str) -> list:
+    """(coords, number) pairs of an entries list, in order; where names the list."""
+    pairs = []
+    for i, entry in enumerate(entries):
+        at = f"{where}[{i}]"
+        if not isinstance(entry, dict) or key not in entry or value_key not in entry:
+            raise ParseError(f"{at}: expected {{{key}, {value_key}}}")
+        # the coords message names its field itself; any other key goes into the location
+        pairs.append(
+            (_coords_from_json(entry[key], at if key == "coords" else f"{at}.{key}"),
+             scalar_from_json(entry[value_key], f"{at}.{value_key}"))
+        )
+    return pairs
+
+
 # --- laws and measures ----------------------------------------------------------
 
 
 def law_to_json(law: DiscreteLaw) -> dict:
-    atoms = [
-        {"coords": list(c), "mass": scalar_to_json(m)}
-        for c, m in sorted(law.atoms.items())
-    ]
-    return _basis_to_json(law.basis, {"atoms": atoms})
+    return _basis_to_json(law.basis, {"atoms": _entries_to_json(law.atoms, "coords", "mass")})
 
 
 def law_from_json(doc) -> DiscreteLaw:
@@ -123,24 +140,13 @@ def law_from_json(doc) -> DiscreteLaw:
     atoms = doc.get("atoms")
     if not isinstance(atoms, list) or not atoms:
         raise ParseError("law: missing or empty 'atoms' array")
-    pairs = []
-    for i, a in enumerate(atoms):
-        if not isinstance(a, dict) or "coords" not in a or "mass" not in a:
-            raise ParseError(f"law.atoms[{i}]: expected {{coords, mass}}")
-        pairs.append(
-            (_coords_from_json(a["coords"], f"law.atoms[{i}]"),
-             scalar_from_json(a["mass"], f"law.atoms[{i}].mass"))
-        )
+    pairs = _entries_from_json(atoms, "law.atoms", "coords", "mass")
     with _building("law.atoms"):
         return DiscreteLaw.from_pairs(basis, pairs)
 
 
 def measure_to_json(m: SignedAtomicMeasure) -> dict:
-    atoms = [
-        {"coords": list(c), "weight": scalar_to_json(w)}
-        for c, w in sorted(m.atoms.items())
-    ]
-    return _basis_to_json(m.basis, {"atoms": atoms})
+    return _basis_to_json(m.basis, {"atoms": _entries_to_json(m.atoms, "coords", "weight")})
 
 
 def measure_from_json(doc) -> SignedAtomicMeasure:
@@ -150,14 +156,7 @@ def measure_from_json(doc) -> SignedAtomicMeasure:
     atoms = doc.get("atoms")
     if not isinstance(atoms, list):
         raise ParseError("measure: missing 'atoms' array")
-    pairs = []
-    for i, a in enumerate(atoms):
-        if not isinstance(a, dict) or "coords" not in a or "weight" not in a:
-            raise ParseError(f"measure.atoms[{i}]: expected {{coords, weight}}")
-        pairs.append(
-            (_coords_from_json(a["coords"], f"measure.atoms[{i}]"),
-             scalar_from_json(a["weight"], f"measure.atoms[{i}].weight"))
-        )
+    pairs = _entries_from_json(atoms, "measure.atoms", "coords", "weight")
     with _building("measure.atoms"):
         return SignedAtomicMeasure(basis, pairs)
 
@@ -166,14 +165,11 @@ def measure_from_json(doc) -> SignedAtomicMeasure:
 
 
 def triplet_to_json(t: QuasiTriplet) -> dict:
-    lambdas = [
-        {"freq": list(c), "value": float(v)} for c, v in sorted(t.lambdas.items())
-    ]
     return _basis_to_json(
         t.basis,
         {
             "gamma_coords": list(t.gamma_coords),
-            "lambdas": lambdas,
+            "lambdas": _entries_to_json(t.lambdas, "freq", "value"),
             "tail_bound": float(t.tail_bound),
         },
     )
@@ -188,14 +184,10 @@ def triplet_from_json(doc) -> QuasiTriplet:
     if not isinstance(lam_list, list):
         raise ParseError("triplet: missing 'lambdas' array")
     lambdas = {}
-    for i, entry in enumerate(lam_list):
-        if not isinstance(entry, dict) or "freq" not in entry or "value" not in entry:
-            raise ParseError(f"triplet.lambdas[{i}]: expected {{freq, value}}")
-        coords = _coords_from_json(entry["freq"], f"triplet.lambdas[{i}].freq")
+    for i, (coords, value) in enumerate(_entries_from_json(lam_list, "triplet.lambdas", "freq", "value")):
         if coords in lambdas:
             raise ParseError(f"triplet.lambdas[{i}]: duplicate frequency {coords}")
-        value = scalar_from_json(entry["value"], f"triplet.lambdas[{i}].value")
-        lambdas[coords] = float(value)
+        lambdas[coords] = value
     tail = scalar_from_json(doc.get("tail_bound", 0.0), "triplet.tail_bound")
     with _building("triplet"):
         return QuasiTriplet(basis, gamma, lambdas, tail_bound=float(tail))
@@ -267,14 +259,6 @@ def stochastic_report_to_json(r: StochasticCompactnessReport) -> dict:
         "min_ell1": r.min_ell1,
         "tail_min_ell1": r.tail_min_ell1,
         "degenerate_trend": r.degenerate_trend,
-        "note": r.note,
-    }
-
-
-def probe_to_json(r: SeparationProbeReport) -> dict:
-    return {
-        "all_certified_from": r.all_certified_from,
-        "certificates": [certificate_to_json(c) for c in r.certificates],
         "note": r.note,
     }
 

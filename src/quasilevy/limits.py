@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .charfn import SeparationCertificate, SeparationParams, certify_separation
 from .errors import LimitNotSeparated, NotSeparated, QuasiLevyError, TripletFailed
@@ -52,17 +52,20 @@ class LawSequence:
         return len(self.laws)
 
 
+def _ell1_gap(what: str, basis1, map1: Mapping, basis2, map2: Mapping) -> float:
+    """l1 distance of two keyed maps over the union of their keys, on an identical basis."""
+    same_basis(basis1, basis2, what)
+    return float(sum(abs(map1.get(k, 0) - map2.get(k, 0)) for k in set(map1) | set(map2)))
+
+
 def tv_distance(f: DiscreteLaw, g: DiscreteLaw) -> float:
     """Total variation distance: l1 over the union support."""
-    same_basis(f.basis, g.basis, "tv distance")
-    keys = set(f.atoms) | set(g.atoms)
-    return float(sum(abs(f.atoms.get(k, 0) - g.atoms.get(k, 0)) for k in keys))
+    return _ell1_gap("tv distance", f.basis, f.atoms, g.basis, g.atoms)
 
 
 def ell1_triplet_distance(t1: QuasiTriplet, t2: QuasiTriplet) -> float:
     """sum |lambda_{1,u} - lambda_{2,u}| over the union of frequency sets."""
-    keys = set(t1.lambdas) | set(t2.lambdas)
-    return float(sum(abs(t1.lambdas.get(k, 0.0) - t2.lambdas.get(k, 0.0)) for k in keys))
+    return _ell1_gap("triplet distance", t1.basis, t1.lambdas, t2.basis, t2.lambdas)
 
 
 def frequency_universe(triplets: Sequence[QuasiTriplet]) -> list[Coords]:
@@ -231,7 +234,6 @@ def check_relative_compactness(
     n_tail_schedule: Sequence[int] = (4, 8, 16, 32, 64, 128),
     thresholds: Optional[Thresholds] = None,
     params: Optional[TripletParams] = None,
-    triplets: Optional[list[QuasiTriplet]] = None,
 ) -> RelativeCompactnessReport:
     """Finite-sample evidence for the three relative-compactness conditions.
 
@@ -242,8 +244,7 @@ def check_relative_compactness(
     """
     if thresholds is None:
         thresholds = Thresholds()
-    if triplets is None:
-        triplets = _extract_all(seq, params)
+    triplets = _extract_all(seq, params)
 
     gammas = [t.gamma_coords for t in triplets]
     distinct: list[tuple[int, ...]] = []
@@ -307,7 +308,6 @@ class StochasticCompactnessReport:
 
 def check_stochastic_compactness(
     seq: LawSequence,
-    relative: Optional[RelativeCompactnessReport] = None,
     thresholds: Optional[Thresholds] = None,
     params: Optional[TripletParams] = None,
 ) -> StochasticCompactnessReport:
@@ -319,9 +319,7 @@ def check_stochastic_compactness(
     """
     if thresholds is None:
         thresholds = Thresholds()
-    triplets = _extract_all(seq, params)
-    if relative is None:
-        relative = check_relative_compactness(seq, thresholds=thresholds, triplets=triplets)
+    relative = check_relative_compactness(seq, thresholds=thresholds, params=params)
     ell1 = relative.ell1_norms
     tail = _tail_window(ell1, thresholds.window_frac)
     tail_min = min(tail)

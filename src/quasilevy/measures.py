@@ -1,4 +1,10 @@
-"""Exact carriers for discrete laws and signed atomic measures.
+"""One exact carrier for signed atomic measures and discrete laws.
+
+A law is the special case of a finite signed measure on the support
+module whose weights are nonnegative and sum to 1: DiscreteLaw subclasses
+SignedAtomicMeasure and adds only that check to construction, so every
+DiscreteLaw, however built, is a valid law.  Equality is type-strict: a
+law never equals the signed measure with the same atoms.
 
 Atoms are keyed by integer coordinate vectors over a declared frequency
 basis (alpha_1..alpha_d), so every support point is an exact Z-linear
@@ -164,16 +170,23 @@ class SignedAtomicMeasure:
     """Finitely supported real-weighted atomic measure (signed allowed).
 
     The carrier for logarithms, differences and fractional convolution
-    powers of laws.  Immutable after construction.
+    powers of laws, and the base of DiscreteLaw.  Immutable after
+    construction.
     """
 
     __slots__ = ("basis", "_atoms")
+    _weight_name = "weight"
 
     def __init__(self, basis: FrequencyBasis, atoms: Mapping[Coords, Scalar] | Iterable):
         self.basis = basis
         if isinstance(atoms, Mapping):
             atoms = atoms.items()
-        self._atoms = MappingProxyType(_atoms_from_pairs(atoms, basis.d, "weight"))
+        self._atoms = MappingProxyType(self._checked(_atoms_from_pairs(atoms, basis.d, self._weight_name)))
+
+    @staticmethod
+    def _checked(atoms: dict[Coords, Scalar]) -> dict[Coords, Scalar]:
+        """The atoms to store; a signed measure takes any finite weights."""
+        return atoms
 
     @property
     def atoms(self) -> Mapping[Coords, Scalar]:
@@ -203,40 +216,48 @@ class SignedAtomicMeasure:
         pts.sort(key=lambda p: (float(p.value), p.coords))
         return pts
 
+    def support_values(self) -> list[Scalar]:
+        return [p.value for p in self.support_points()]
+
     def __eq__(self, other):
-        if not isinstance(other, SignedAtomicMeasure):
+        # type-strict: a law never equals the signed measure with the same atoms
+        if type(other) is not type(self):
             return NotImplemented
         return self.basis == other.basis and dict(self._atoms) == dict(other.atoms)
 
     def __repr__(self):
-        return f"SignedAtomicMeasure(basis={self.basis.alphas}, {len(self._atoms)} atoms)"
+        return f"{type(self).__name__}(basis={self.basis.alphas}, {len(self._atoms)} atoms)"
 
 
-class DiscreteLaw:
-    """Finitely supported probability law with exact support coordinates."""
+class DiscreteLaw(SignedAtomicMeasure):
+    """Finitely supported probability law with exact support coordinates.
 
-    __slots__ = ("basis", "_atoms")
+    A signed atomic measure whose construction also drops zero-mass atoms
+    and asserts the law invariants, so every instance is a valid law.
+    """
 
-    def __init__(self, basis: FrequencyBasis, atoms: Mapping[Coords, Scalar] | Iterable):
-        self.basis = basis
-        if isinstance(atoms, Mapping):
-            atoms = atoms.items()
-        self._atoms = MappingProxyType(_atoms_from_pairs(atoms, basis.d, "mass"))
+    __slots__ = ()
+    _weight_name = "mass"
 
-    @property
-    def atoms(self) -> Mapping[Coords, Scalar]:
-        return self._atoms
-
-    def mass(self, coords) -> Scalar:
-        return self._atoms.get(_normalize_coords(coords, self.basis.d), 0)
-
-    def support_points(self) -> list[SupportPoint]:
-        pts = [SupportPoint(c, self.basis.value(c)) for c in self._atoms]
-        pts.sort(key=lambda p: (float(p.value), p.coords))
-        return pts
-
-    def support_values(self) -> list[Scalar]:
-        return [p.value for p in self.support_points()]
+    @staticmethod
+    def _checked(atoms: dict[Coords, Scalar]) -> dict[Coords, Scalar]:
+        """Drop zero-mass atoms and assert the probability-law invariants."""
+        if not atoms:
+            raise ValueError("law has no atoms")
+        for coords, m in atoms.items():
+            if m < 0:
+                raise NegativeMass(f"atom {coords} has negative mass {m}")
+        kept = {c: m for c, m in atoms.items() if m != 0}
+        if not kept:
+            raise MassSumNotOne("all atoms have zero mass")
+        try:
+            total = sum(kept.values())
+        except OverflowError:  # an integer mass beyond the float range next to a float mass
+            raise MassSumNotOne("masses sum beyond the float range, not 1") from None
+        if abs(total - 1) > MASS_SUM_TOL:
+            # str, not float(): an exact sum beyond the float range must not overflow here
+            raise MassSumNotOne(f"masses sum to {total}, not 1")
+        return kept
 
     def max_mass(self) -> float:
         return float(max(self._atoms.values()))
@@ -244,19 +265,11 @@ class DiscreteLaw:
     def as_measure(self) -> SignedAtomicMeasure:
         return SignedAtomicMeasure(self.basis, self._atoms)
 
-    def __eq__(self, other):
-        if not isinstance(other, DiscreteLaw):
-            return NotImplemented
-        return self.basis == other.basis and dict(self._atoms) == dict(other.atoms)
-
-    def __repr__(self):
-        return f"DiscreteLaw(basis={self.basis.alphas}, {len(self._atoms)} atoms)"
-
     # -- factories ------------------------------------------------------------
 
     @staticmethod
     def from_pairs(basis: FrequencyBasis, pairs: Iterable) -> "DiscreteLaw":
-        return validate_law(DiscreteLaw(basis, pairs))
+        return DiscreteLaw(basis, pairs)
 
     @staticmethod
     def from_values(value_mass_pairs: Iterable[tuple[Scalar, Scalar]]) -> "DiscreteLaw":
@@ -295,27 +308,7 @@ class DiscreteLaw:
 # -- operations ---------------------------------------------------------------
 
 
-def validate_law(law: DiscreteLaw) -> DiscreteLaw:
-    """Drop zero-mass atoms and assert the probability-law invariants."""
-    if not law.atoms:
-        raise ValueError("law has no atoms")
-    for coords, m in law.atoms.items():
-        if m < 0:
-            raise NegativeMass(f"atom {coords} has negative mass {m}")
-    kept = {c: m for c, m in law.atoms.items() if m != 0}
-    if not kept:
-        raise MassSumNotOne("all atoms have zero mass")
-    try:
-        total = sum(kept.values())
-    except OverflowError:  # an integer mass beyond the float range next to a float mass
-        raise MassSumNotOne("masses sum beyond the float range, not 1") from None
-    if abs(total - 1) > MASS_SUM_TOL:
-        # str, not float(): an exact sum beyond the float range must not overflow here
-        raise MassSumNotOne(f"masses sum to {total}, not 1")
-    return DiscreteLaw(law.basis, kept)
-
-
-def total_variation(m: SignedAtomicMeasure | DiscreteLaw) -> float:
+def total_variation(m: SignedAtomicMeasure) -> float:
     """Total variation norm: the l1 sum of atom weights."""
     atoms = m.atoms
     return float(sum(abs(w) for w in atoms.values()))
@@ -333,9 +326,7 @@ def convolve(m1, m2):
         for c2, w2 in m2.atoms.items():
             key = tuple(a + b for a, b in zip(c1, c2))
             out[key] = out.get(key, 0) + w1 * w2
-    if isinstance(m1, DiscreteLaw) and isinstance(m2, DiscreteLaw):
-        return DiscreteLaw.from_pairs(m1.basis, out.items())
-    return SignedAtomicMeasure(m1.basis, out)
+    return (type(m1) if type(m1) is type(m2) else SignedAtomicMeasure)(m1.basis, out)
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,13 @@ GRID_BUDGET = 1 << 22  # most points of one grid: an extraction pass or a recons
 # --- distinguished logarithm along sampled paths -----------------------------
 
 
-def distinguished_log(values, step_guard: float = DEFAULT_STEP_GUARD, zero_tol: float = 1e-12) -> np.ndarray:
+def distinguished_log(values, zero_tol: float = 1e-12) -> np.ndarray:
     """Continuous branch of log along a sampled path starting at 1.
 
     The phase is integrated from the wrapped increments arg(v_{j+1}/v_j);
     that is only the true continuous branch if every increment stays below
-    the guard, so an increment >= step_guard raises StepTooCoarse and the
-    caller must refine its sampling.
+    the guard, so an increment >= DEFAULT_STEP_GUARD raises StepTooCoarse
+    and the caller must refine its sampling.
     """
     vals = np.asarray(values, dtype=complex)
     mods = np.abs(vals)
@@ -55,9 +55,9 @@ def distinguished_log(values, step_guard: float = DEFAULT_STEP_GUARD, zero_tol: 
     if abs(vals[0] - 1.0) > 1e-9:
         raise ValueError("path must start at 1")
     dphi = np.angle(vals[1:] / vals[:-1])
-    if dphi.size and float(np.max(np.abs(dphi))) >= step_guard:
+    if dphi.size and float(np.max(np.abs(dphi))) >= DEFAULT_STEP_GUARD:
         raise StepTooCoarse(
-            f"adjacent phase jump {float(np.max(np.abs(dphi))):.4f} >= guard {step_guard:.4f}"
+            f"adjacent phase jump {float(np.max(np.abs(dphi))):.4f} >= guard {DEFAULT_STEP_GUARD:.4f}"
         )
     phase = np.empty(len(vals))
     phase[0] = 0.0
@@ -65,15 +65,15 @@ def distinguished_log(values, step_guard: float = DEFAULT_STEP_GUARD, zero_tol: 
     return np.log(mods) + 1j * phase
 
 
-def winding_number(loop_values, step_guard: float = DEFAULT_STEP_GUARD) -> int:
+def winding_number(loop_values) -> int:
     """Integer phase increment (in turns) around a closed sampled loop."""
     vals = np.asarray(loop_values, dtype=complex)
-    return _turns(np.angle(np.roll(vals, -1) / vals), step_guard)
+    return _turns(np.angle(np.roll(vals, -1) / vals))
 
 
-def _turns(dphi: np.ndarray, step_guard: float = DEFAULT_STEP_GUARD) -> int:
+def _turns(dphi: np.ndarray) -> int:
     """Winding number from the wrapped phase increments around a closed loop."""
-    if float(np.max(np.abs(dphi))) >= step_guard:
+    if float(np.max(np.abs(dphi))) >= DEFAULT_STEP_GUARD:
         raise StepTooCoarse("loop sampled too coarsely for a reliable winding number")
     total = float(np.sum(dphi))
     m = round(total / TWO_PI)
@@ -144,6 +144,8 @@ class QuasiTriplet:
         clean: dict[Coords, float] = {}
         for coords, lam in lambdas.items():
             coords = tuple(int(c) for c in coords)
+            if len(coords) != basis.d:
+                raise ValueError(f"frequency {coords} does not match the basis dimension {basis.d}")
             if all(c == 0 for c in coords):
                 raise ValueError("zero frequency must not be stored; its weight is derived")
             clean[coords] = float(lam)
@@ -216,7 +218,6 @@ class TripletParams:
     n_init: Optional[int] = None
     tol: float = 1e-10
     n_max: int = 1 << 17
-    drop_tol: float = LAMBDA_DROP_TOL
     separation: Optional[SeparationParams] = None
 
     def initial_n(self, d: int, spread: int) -> int:
@@ -283,7 +284,7 @@ def _extract_pass(q: np.ndarray, params: TripletParams):
     if alias_mass > params.tol:
         return "alias", alias_mass
 
-    keep = nonzero & (np.abs(coeffs) >= params.drop_tol)
+    keep = nonzero & (np.abs(coeffs) >= LAMBDA_DROP_TOL)
     dropped = float(np.sum(np.abs(coeffs[nonzero & ~keep])))
     masked = np.where(keep, coeffs.real, 0.0).astype(complex)
     masked[(0,) * d] = -float(np.sum(coeffs.real[keep]))

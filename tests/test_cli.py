@@ -72,6 +72,30 @@ class TestJsonRoundTrips:
             jsonio.law_from_json({"basis": [1], "atoms": [{"coords": [0.5], "mass": 1.0}]})
         with pytest.raises(ParseError):
             jsonio.scalar_from_json({"num": 1, "den": 0}, "x")
+        with pytest.raises(ParseError, match="basis dimension"):
+            jsonio.triplet_from_json(
+                {"basis": [1], "gamma_coords": [0], "lambdas": [{"freq": [1, 2], "value": 0.1}]})
+
+    def test_entry_error_locations(self):
+        def message(loader, doc):
+            with pytest.raises(ParseError) as info:
+                loader(doc)
+            return str(info.value)
+
+        assert message(jsonio.law_from_json, {"basis": [1], "atoms": [{"coords": [0]}]}) == (
+            "law.atoms[0]: expected {coords, mass}")
+        assert message(jsonio.law_from_json, {"basis": [1], "atoms": [{"coords": "0", "mass": 1}]}).startswith(
+            "law.atoms[0]: coords must be")
+        assert message(jsonio.measure_from_json, {"basis": [1], "atoms": [{"coords": [0], "weight": None}]}).startswith(
+            "measure.atoms[0].weight: expected a number")
+        trip = {"basis": [1], "gamma_coords": [0]}
+        assert message(jsonio.triplet_from_json, {**trip, "lambdas": [{"freq": [1.5], "value": 1}]}).startswith(
+            "triplet.lambdas[0].freq: coords must be")
+        assert message(jsonio.triplet_from_json, {**trip, "lambdas": [{"freq": [1], "value": 0.1}] * 2}) == (
+            "triplet.lambdas[1]: duplicate frequency (1,)")
+        # a weight beyond the float range is reported, not raised as OverflowError
+        assert message(jsonio.triplet_from_json, {**trip, "lambdas": [{"freq": [1], "value": 10**400}]}).startswith(
+            "triplet: ")
 
     def test_serialization_is_byte_stable(self):
         trip = triplet_lattice(GEOMETRIC)

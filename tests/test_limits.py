@@ -62,6 +62,13 @@ class TestTvDistance:
         with pytest.raises(BasisMismatch):
             tv_distance(GEOMETRIC, other)
 
+    def test_triplet_distance_basis_mismatch(self):
+        t1 = QuasiTriplet(B1, (0,), {(1,): 0.5})
+        t2 = QuasiTriplet(FrequencyBasis((np.sqrt(2),)), (0,), {(1,): 0.5})
+        assert ell1_triplet_distance(t1, t1) == 0.0
+        with pytest.raises(BasisMismatch):
+            ell1_triplet_distance(t1, t2)
+
     def test_metric_properties(self):
         rng = np.random.default_rng(61)
         for _ in range(40):
@@ -177,6 +184,21 @@ class TestStochasticCompactness:
         members = tuple([GEOMETRIC] * 8)
         report = check_stochastic_compactness(LawSequence(members))
         assert report.passes
+
+    def test_one_extraction_per_member(self, monkeypatch):
+        from quasilevy import limits
+
+        calls = []
+        extract = limits.triplet_of
+
+        def counting(law, params=None):
+            calls.append(law)
+            return extract(law, params)
+
+        monkeypatch.setattr(limits, "triplet_of", counting)
+        members = tuple(poisson_like(v / 10.0) for v in range(1, 6))
+        check_stochastic_compactness(LawSequence(members))
+        assert calls == list(members)
 
 
 class TestEventuallyInDS:

@@ -16,7 +16,6 @@ from quasilevy import (
     module_generator,
     reduce_support,
     total_variation,
-    validate_law,
 )
 from quasilevy.measures import lattice_masses, lattice_points
 
@@ -51,8 +50,34 @@ class TestValidateLaw:
 
     def test_idempotent(self):
         law = law_on_z({0: 0.25, 3: 0.75})
-        again = validate_law(law)
-        assert again == law and validate_law(again) == again
+        again = DiscreteLaw(law.basis, law.atoms)
+        assert again == law and DiscreteLaw(again.basis, again.atoms) == again
+
+    def test_constructor_checks_law_invariants(self):
+        with pytest.raises(NegativeMass):
+            DiscreteLaw(B1, {(0,): 2.0, (1,): -1.0})
+        with pytest.raises(MassSumNotOne):
+            DiscreteLaw(B1, {(0,): 0.5})
+        assert dict(DiscreteLaw(B1, {(0,): 1.0, (4,): 0.0}).atoms) == {(0,): 1.0}
+
+
+class TestCarrier:
+    def test_law_is_a_measure_never_equal_to_one(self):
+        law = law_on_z({0: 0.25, 3: 0.75})
+        measure = law.as_measure()
+        assert isinstance(law, SignedAtomicMeasure) and type(measure) is SignedAtomicMeasure
+        assert law != measure and measure != law
+        assert dict(measure.atoms) == dict(law.atoms)
+        assert law.weight(3) == 0.75 and measure.weight(3) == 0.75
+        assert repr(law).startswith("DiscreteLaw(") and repr(measure).startswith("SignedAtomicMeasure(")
+
+    def test_convolve_result_type(self):
+        law = law_on_z({0: 0.5, 1: 0.5})
+        measure = SignedAtomicMeasure(B1, {(0,): 1.5, (1,): -0.5})
+        assert type(convolve(law, law)) is DiscreteLaw
+        assert type(convolve(law, measure)) is SignedAtomicMeasure
+        assert type(convolve(measure, law)) is SignedAtomicMeasure
+        assert convolve(law, law).as_measure() == convolve(law.as_measure(), law)
 
 
 class TestTotalVariation:

@@ -114,6 +114,7 @@ def test_law_from_json_parses_or_reports(doc):
     assert masses and all(m >= 0 for m in masses)
     assert abs(math.fsum(masses) - 1.0) <= 1e-9
     assert all(len(c) == law.basis.d for c in law.atoms)
+    assert jsonio.law_from_json(jsonio.law_to_json(law)) == law
 
 
 @LOADER_SETTINGS
@@ -124,6 +125,7 @@ def test_measure_from_json_parses_or_reports(doc):
     except (ParseError, DuplicateAtom):
         return
     assert isinstance(measure, SignedAtomicMeasure)
+    assert jsonio.measure_from_json(jsonio.measure_to_json(measure)) == measure
 
 
 @LOADER_SETTINGS
@@ -134,6 +136,7 @@ def test_triplet_from_json_parses_or_reports(doc):
     except ParseError:
         return
     assert isinstance(trip, QuasiTriplet)
+    assert jsonio.triplet_from_json(jsonio.triplet_to_json(trip)) == trip
 
 
 # generators of the differences: full rank, 2Z x Z, rank-deficient, and none at all
