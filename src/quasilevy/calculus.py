@@ -57,7 +57,10 @@ def _series_order(norm: float, prefactor: float, params: ExpSeriesParams) -> tup
     """
     if norm == 0.0:
         return 0, 0.0
-    tail = prefactor * math.exp(norm)
+    try:
+        tail = prefactor * math.exp(norm)
+    except OverflowError:
+        raise Diverged(f"series tail bound e^norm overflows the float range (l1 norm {norm})") from None
     term = 1.0
     for m in range(params.max_terms + 1):
         before = term
@@ -328,8 +331,11 @@ def conv_power(
         raise InvalidArgument("the power s must be nonnegative")
     if params is None:
         params = ExpSeriesParams()
-    s_exact = Fraction(s) if not isinstance(s, Fraction) else s
-    sf = float(s_exact)
+    try:
+        s_exact = Fraction(s)
+        sf = float(s_exact)
+    except (OverflowError, ValueError):
+        raise InvalidArgument("the power s must be a finite number within the float range") from None
     scaled = QuasiTriplet(
         triplet.basis,
         (0,) * triplet.d,

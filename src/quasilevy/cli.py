@@ -3,12 +3,19 @@
 Exit codes: 0 for an affirmative definitive outcome, 1 for a definitive
 negative outcome or any hard error, 2 for undecided/inconclusive
 verdicts so scripts can branch on genuinely open cases.
+
+The argument parser is built once per process and reused by every
+`main` call.  The environment variables QUASILEVY_TOL,
+QUASILEVY_ZERO_TOL and QUASILEVY_SERIES_TOL are read on every call,
+in-process calls included, and fill the matching option when it is not
+given on the command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -55,6 +62,15 @@ def _finite_float(text: str, name: str) -> float:
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name)
     return default if raw is None else _finite_float(raw, f"environment variable {name}")
+
+
+# (option dest, environment variable, default) for the options the environment
+# overrides.  main reads them on every call; the cached parser leaves them None.
+_ENV_DEFAULTS = (
+    ("tol", "QUASILEVY_TOL", 1e-10),
+    ("zero_tol", "QUASILEVY_ZERO_TOL", 1e-10),
+    ("series_tol", "QUASILEVY_SERIES_TOL", 1e-12),
+)
 
 
 def emit_curves(law: DiscreteLaw, t_min: float, t_max: float, samples: int, zero_tol: float = 1e-10):
@@ -250,13 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tol_default = _env_float("QUASILEVY_TOL", 1e-10)
-    zero_tol_default = _env_float("QUASILEVY_ZERO_TOL", 1e-10)
-    series_tol_default = _env_float("QUASILEVY_SERIES_TOL", 1e-12)
-
     def add_out(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    # --tol, --zero-tol and --series-tol default to None: main fills them from _ENV_DEFAULTS
     def add_float(p, flag, default):
         # a ParseError is not a ValueError, so argparse lets it reach main's JSON error path
         p.add_argument(flag, type=lambda text: _finite_float(text, flag), default=default)
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-s", help="certify or refute separation from zero")
     p.add_argument("law")
     p.add_argument("--max-depth", type=int, default=40)
-    add_float(p, "--zero-tol", zero_tol_default)
+    add_float(p, "--zero-tol", None)
     add_float(p, "--target-gap", 0.9)
     p.add_argument("--curves", default=None, help="also write a (t, |f|, Arg f) CSV here")
     add_float(p, "--t-max", 2 * math.pi)
@@ -274,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triplet", help="extract the spectral triplet of a law")
     p.add_argument("law")
-    add_float(p, "--tol", tol_default)
+    add_float(p, "--tol", None)
     p.add_argument("--n-init", type=int, default=None)
     p.add_argument("--emit-curves", default=None, help="write a (t, Re f, Im f, Arg f) CSV here")
     add_float(p, "--t-max", 2 * math.pi)
@@ -284,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="rebuild the law from a triplet")
     p.add_argument("triplet")
-    add_float(p, "--series-tol", series_tol_default)
+    add_float(p, "--series-tol", None)
     add_out(p)
     p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("power", help="fractional convolution power through the triplet")
     p.add_argument("triplet")
     p.add_argument("--s", required=True, help="nonnegative power, e.g. 0.5 or 1/2")
-    add_float(p, "--series-tol", series_tol_default)
+    add_float(p, "--series-tol", None)
     add_out(p)
     p.set_defaults(handler=_cmd_power)
 
@@ -308,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_tv)
 
     def add_family_opts(p):
-        add_float(p, "--tol", tol_default)
+        add_float(p, "--tol", None)
         p.add_argument("--n-init", type=int, default=None)
         add_float(p, "--final-tol", 1e-6)
         add_float(p, "--growth-factor", 2.0)
@@ -342,9 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process.
+
+    build_parser() itself stays uncached, so a caller that changes the
+    parser it returns cannot change main.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # read before parsing, so an invalid variable fails every command, --help included
+        env = [(dest, _env_float(name, default)) for dest, name, default in _ENV_DEFAULTS]
+        args = _parser().parse_args(argv)
+        for dest, value in env:
+            if hasattr(args, dest) and getattr(args, dest) is None:
+                setattr(args, dest, value)
         return args.handler(args)
     except NotSeparated as exc:
         doc = {"error": "NotSeparated", "message": str(exc)}

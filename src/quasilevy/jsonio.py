@@ -16,7 +16,7 @@ from typing import Any
 
 from .calculus import ConvPowerResult
 from .charfn import SeparationCertificate
-from .errors import ParseError
+from .errors import DuplicateAtom, ParseError
 from .limits import (
     ConvergenceVerdict,
     RelativeCompactnessReport,
@@ -128,10 +128,16 @@ def law_from_json(doc) -> DiscreteLaw:
         masses = doc["masses"]
         if not isinstance(masses, dict):
             raise ParseError("lattice shorthand: 'masses' must map index -> mass")
-        try:
-            indexed = {int(k): scalar_from_json(v, f"masses[{k}]") for k, v in masses.items()}
-        except ValueError as exc:
-            raise ParseError(f"lattice shorthand: non-integer index ({exc})") from None
+        indexed = {}
+        for k, v in masses.items():
+            try:
+                index = int(k)
+            except ValueError as exc:
+                raise ParseError(f"lattice shorthand: non-integer index ({exc})") from None
+            # "1", " 1 " and "+1" are distinct JSON keys but one index
+            if index in indexed:
+                raise DuplicateAtom(f"lattice shorthand: index {index} listed twice")
+            indexed[index] = scalar_from_json(v, f"masses[{k}]")
         offset = scalar_from_json(doc.get("offset", 0), "offset")
         span = scalar_from_json(doc.get("span", 1), "span")
         with _building("lattice shorthand"):

@@ -237,7 +237,8 @@ def check_relative_compactness(
 ) -> RelativeCompactnessReport:
     """Finite-sample evidence for the three relative-compactness conditions.
 
-    (shift) the shifts take few values and none new appear in the tail;
+    (shift) the shifts take few values and none new appear in the tail,
+    the same trailing window_frac of the prefix the trend checks read;
     (norm) the l1 norms do not blow up across the prefix;
     (tail) the shared-enumeration tails are uniformly small by the end of
     the schedule.
@@ -253,8 +254,10 @@ def check_relative_compactness(
         if g not in first_seen:
             first_seen[g] = i
             distinct.append(g)
-    tail_start = len(gammas) - max(2, math.ceil(len(gammas) * thresholds.window_frac)) + 1
-    new_in_tail = any(i > max(tail_start, 1) for i in first_seen.values()) and len(gammas) > 2
+    # first member (1-based) of the trailing window the trend checks read
+    tail_start = _tail_window(range(1, len(gammas) + 1), thresholds.window_frac)[0]
+    # the first member's shift is never new; any other first seen inside the window is
+    new_in_tail = any(i >= max(tail_start, 2) for i in first_seen.values()) and len(gammas) > 2
     pass_i = not new_in_tail
 
     ell1 = [t.ell1() for t in triplets]

@@ -7,6 +7,7 @@ import pytest
 
 from quasilevy import (
     DiscreteLaw,
+    DuplicateAtom,
     FrequencyBasis,
     ParseError,
     QuasiTriplet,
@@ -15,7 +16,7 @@ from quasilevy import (
     triplet_lattice,
     tv_distance,
 )
-from quasilevy import jsonio
+from quasilevy import cli, jsonio
 from quasilevy.cli import emit_curves, main
 from oracles import truncated_geometric
 
@@ -53,6 +54,12 @@ class TestJsonRoundTrips:
                "masses": {"0": 0.5, "1": 0.5}}
         law = jsonio.law_from_json(doc)
         assert sorted(float(v) for v in law.support_values()) == pytest.approx([0.5, 7 / 6])
+
+    def test_lattice_shorthand_duplicate_index(self):
+        # distinct JSON keys, one index: rejected like a repeated atom, never overwritten
+        doc = {"masses": {"0": 0.5, "1": 0.5, " 1 ": 0.5, "+1": 0.5}}
+        with pytest.raises(DuplicateAtom, match="index 1 listed twice"):
+            jsonio.law_from_json(doc)
 
     def test_triplet_roundtrip_exact(self):
         trip = triplet_lattice(BERN08)
@@ -246,7 +253,8 @@ class TestCliCommands:
         ["reversed_t_range", "repeated_basis", "nan_mass", "zero_frequency", "negative_power", "zero_n_init",
          "nan_tol", "nan_id_tol", "inf_series_tol", "malformed_tol_option", "nan_env_tol", "malformed_env_tol",
          "mass_beyond_float_range", "mass_sum_beyond_float_range", "gap_above_one", "zero_gap",
-         "negative_depth", "negative_zero_tol", "huge_d1_frequency"],
+         "negative_depth", "negative_zero_tol", "huge_d1_frequency", "duplicate_lattice_index",
+         "power_overflows_series", "power_beyond_float_range", "weight_overflows_series"],
     )
     def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, monkeypatch, case):
         good = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
@@ -257,6 +265,9 @@ class TestCliCommands:
         # gcd 1: the frequencies are not reduced, so the series would span 10**15 indices
         huge_freq = write(tmp_path, "t15.json", {"basis": [1], "gamma_coords": [0], "lambdas": [
             {"freq": [10**15], "value": 0.1}, {"freq": [10**15 + 1], "value": 0.1}]})
+        heavy = write(tmp_path, "t1000.json", {"basis": [1], "gamma_coords": [0],
+                                               "lambdas": [{"freq": [1], "value": 1000.0}]})
+        dup = write(tmp_path, "dup.json", {"masses": {"0": 0.5, "1": 0.5, " 1 ": 0.5, "+1": 0.5}})
         nan_mass = tmp_path / "nan.json"
         nan_mass.write_text('{"basis": [1], "atoms": [{"coords": [0], "mass": NaN}]}')
         huge = write(tmp_path, "huge.json", {"basis": [1], "atoms": [{"coords": [0], "mass": 10**400}]})
@@ -284,6 +295,10 @@ class TestCliCommands:
             "negative_depth": (["check-s", good, "--max-depth", "-1"], "InvalidArgument"),
             "negative_zero_tol": (["check-s", good, "--zero-tol=-1e-10"], "InvalidArgument"),
             "huge_d1_frequency": (["reconstruct", huge_freq], "Diverged"),
+            "duplicate_lattice_index": (["triplet", dup], "DuplicateAtom"),
+            "power_overflows_series": (["power", trip, "--s", "1e30"], "Diverged"),
+            "power_beyond_float_range": (["power", trip, "--s", "1e400"], "InvalidArgument"),
+            "weight_overflows_series": (["reconstruct", heavy], "Diverged"),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -312,3 +327,46 @@ class TestCliCommands:
         lines = trends.read_text().strip().splitlines()
         assert lines[0] == "n,ell1_distance,tv_distance,ell1_norm"
         assert len(lines) == 4
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        law_file = write(tmp_path, "bern.json", jsonio.law_to_json(BERN08))
+        build_parser = cli.build_parser
+        builds = []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["triplet", law_file], ["tv", law_file, law_file], ["check-s", law_file]):
+                assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_environment_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        law_file = write(tmp_path, "bern.json", jsonio.law_to_json(BERN08))
+        argv = ["triplet", law_file, "--out", str(tmp_path / "trip.json")]
+        triplet_of = cli.triplet_of
+        tols = []
+
+        def recording_triplet_of(law, params):
+            tols.append(params.tol)
+            return triplet_of(law, params)
+
+        monkeypatch.setattr(cli, "triplet_of", recording_triplet_of)
+        monkeypatch.delenv("QUASILEVY_TOL", raising=False)
+        assert main(argv) == 0  # builds the parser, if no earlier call did
+        monkeypatch.setenv("QUASILEVY_TOL", "nan")
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+        monkeypatch.delenv("QUASILEVY_TOL")
+        assert main(argv) == 0
+        monkeypatch.setenv("QUASILEVY_TOL", "1e-8")
+        assert main(argv) == 0
+        assert main([*argv, "--tol", "1e-7"]) == 0
+        assert tols == [1e-10, 1e-10, 1e-8, 1e-7]

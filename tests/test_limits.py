@@ -165,6 +165,17 @@ class TestRelativeCompactness:
         report = check_relative_compactness(LawSequence((GEOMETRIC,)))
         assert report.all_pass
 
+    @pytest.mark.parametrize("first_shifted, flagged", [(8, False), (9, True), (10, True)])
+    def test_new_shift_in_trailing_window(self, first_shifted, flagged):
+        # 12 members: the trailing window of the trend checks is members 9-12
+        base = DiscreteLaw.from_lattice({0: 0.8, 1: 0.2})
+        shifted = DiscreteLaw.from_lattice({1: 0.8, 2: 0.2})
+        members = tuple(base if n < first_shifted else shifted for n in range(1, 13))
+        report = check_relative_compactness(LawSequence(members))
+        assert report.gamma_values == [(0,), (1,)]
+        assert report.gamma_new_in_tail is flagged
+        assert report.pass_shift_condition is not flagged
+
 
 class TestStochasticCompactness:
     def test_poisson_family_passes(self):

@@ -12,12 +12,15 @@ holds them to independent references: the exact law within the reported
 `error_bound`, and the binomial series of the half power.
 JSON outputs are held as Python literals and rendered with the CLI's JSON
 settings (sorted keys, indent 2, trailing newline); float reprs are exact,
-so the rendering reproduces the original bytes.
+so the rendering reproduces the original bytes.  The --help texts of
+the top level and of every subcommand are pinned as well.
 """
 
 import json
 import re
 from fractions import Fraction
+
+import pytest
 
 from quasilevy import DiscreteLaw, jsonio, tv_distance
 from quasilevy.cli import main
@@ -205,3 +208,203 @@ t,re_f,im_f,abs_f,arg_f
 5.497787143782138,0.595371784915274,-0.3256196415254549,0.6785983445458477,-0.5004740367753848
 6.283185307179586,1.0,-2.463187330323998e-16,1.0,-1.942890293094024e-16
 """
+
+# --help at 80 columns; no help string prints a default, so neither the
+# environment nor the parser's reuse across calls can reach these bytes
+HELP = {
+    "": """\
+usage: quasilevy [-h]
+                 {check-s,triplet,reconstruct,power,classify-id,tv,converge-check,compact-check,stoch-check,curves}
+                 ...
+
+Spectral representations of discrete probability laws
+
+positional arguments:
+  {check-s,triplet,reconstruct,power,classify-id,tv,converge-check,compact-check,stoch-check,curves}
+    check-s             certify or refute separation from zero
+    triplet             extract the spectral triplet of a law
+    reconstruct         rebuild the law from a triplet
+    power               fractional convolution power through the triplet
+    classify-id         decide infinite divisibility from a triplet
+    tv                  total variation distance between two laws
+    converge-check      convergence-in-variation criterion on a prefix
+    compact-check       relative-compactness conditions on a prefix
+    stoch-check         stochastic-compactness condition on a prefix
+    curves              CSV of (t, Re f, Im f, |f|, Arg f)
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check-s": """\
+usage: quasilevy check-s [-h] [--max-depth MAX_DEPTH] [--zero-tol ZERO_TOL]
+                         [--target-gap TARGET_GAP] [--curves CURVES]
+                         [--t-max T_MAX] [--samples SAMPLES] [--out OUT]
+                         law
+
+positional arguments:
+  law
+
+options:
+  -h, --help            show this help message and exit
+  --max-depth MAX_DEPTH
+  --zero-tol ZERO_TOL
+  --target-gap TARGET_GAP
+  --curves CURVES       also write a (t, |f|, Arg f) CSV here
+  --t-max T_MAX
+  --samples SAMPLES
+  --out OUT             output path (default stdout)
+""",
+    "triplet": """\
+usage: quasilevy triplet [-h] [--tol TOL] [--n-init N_INIT]
+                         [--emit-curves EMIT_CURVES] [--t-max T_MAX]
+                         [--samples SAMPLES] [--out OUT]
+                         law
+
+positional arguments:
+  law
+
+options:
+  -h, --help            show this help message and exit
+  --tol TOL
+  --n-init N_INIT
+  --emit-curves EMIT_CURVES
+                        write a (t, Re f, Im f, Arg f) CSV here
+  --t-max T_MAX
+  --samples SAMPLES
+  --out OUT             output path (default stdout)
+""",
+    "reconstruct": """\
+usage: quasilevy reconstruct [-h] [--series-tol SERIES_TOL] [--out OUT]
+                             triplet
+
+positional arguments:
+  triplet
+
+options:
+  -h, --help            show this help message and exit
+  --series-tol SERIES_TOL
+  --out OUT             output path (default stdout)
+""",
+    "power": """\
+usage: quasilevy power [-h] --s S [--series-tol SERIES_TOL] [--out OUT]
+                       triplet
+
+positional arguments:
+  triplet
+
+options:
+  -h, --help            show this help message and exit
+  --s S                 nonnegative power, e.g. 0.5 or 1/2
+  --series-tol SERIES_TOL
+  --out OUT             output path (default stdout)
+""",
+    "classify-id": """\
+usage: quasilevy classify-id [-h] [--id-tol ID_TOL] [--out OUT] triplet
+
+positional arguments:
+  triplet
+
+options:
+  -h, --help       show this help message and exit
+  --id-tol ID_TOL
+  --out OUT        output path (default stdout)
+""",
+    "tv": """\
+usage: quasilevy tv [-h] [--out OUT] a b
+
+positional arguments:
+  a
+  b
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT   output path (default stdout)
+""",
+    "converge-check": """\
+usage: quasilevy converge-check [-h] --limit LIMIT [--tol TOL]
+                                [--n-init N_INIT] [--final-tol FINAL_TOL]
+                                [--growth-factor GROWTH_FACTOR]
+                                [--emit-trends EMIT_TRENDS] [--out OUT]
+                                members [members ...]
+
+positional arguments:
+  members
+
+options:
+  -h, --help            show this help message and exit
+  --limit LIMIT
+  --tol TOL
+  --n-init N_INIT
+  --final-tol FINAL_TOL
+  --growth-factor GROWTH_FACTOR
+  --emit-trends EMIT_TRENDS
+                        write per-member trend CSV here
+  --out OUT             output path (default stdout)
+""",
+    "compact-check": """\
+usage: quasilevy compact-check [-h] [--tol TOL] [--n-init N_INIT]
+                               [--final-tol FINAL_TOL]
+                               [--growth-factor GROWTH_FACTOR]
+                               [--emit-trends EMIT_TRENDS] [--out OUT]
+                               members [members ...]
+
+positional arguments:
+  members
+
+options:
+  -h, --help            show this help message and exit
+  --tol TOL
+  --n-init N_INIT
+  --final-tol FINAL_TOL
+  --growth-factor GROWTH_FACTOR
+  --emit-trends EMIT_TRENDS
+                        write per-member trend CSV here
+  --out OUT             output path (default stdout)
+""",
+    "stoch-check": """\
+usage: quasilevy stoch-check [-h] [--tol TOL] [--n-init N_INIT]
+                             [--final-tol FINAL_TOL]
+                             [--growth-factor GROWTH_FACTOR]
+                             [--emit-trends EMIT_TRENDS] [--out OUT]
+                             members [members ...]
+
+positional arguments:
+  members
+
+options:
+  -h, --help            show this help message and exit
+  --tol TOL
+  --n-init N_INIT
+  --final-tol FINAL_TOL
+  --growth-factor GROWTH_FACTOR
+  --emit-trends EMIT_TRENDS
+                        write per-member trend CSV here
+  --out OUT             output path (default stdout)
+""",
+    "curves": """\
+usage: quasilevy curves [-h] [--t-min T_MIN] [--t-max T_MAX]
+                        [--samples SAMPLES] [--out OUT]
+                        law
+
+positional arguments:
+  law
+
+options:
+  -h, --help         show this help message and exit
+  --t-min T_MIN
+  --t-max T_MAX
+  --samples SAMPLES
+  --out OUT          output path (default stdout)
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("QUASILEVY_TOL", "1e-3")
+    for _ in range(2):  # the second call reuses the parser the first one built
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"] if command else ["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
