@@ -19,15 +19,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgument, NotSeparated
-from .measures import DiscreteLaw, reduce_support
+from .measures import DiscreteLaw, SignedAtomicMeasure, reduce_support
 
 TWO_PI = 2.0 * math.pi
 UNIT_ROUNDOFF = 2.0**-53
 
 
+def support_floats(m: SignedAtomicMeasure) -> list[float]:
+    """The support values x_k as floats, in atom order; InvalidArgument beyond the float range."""
+    try:
+        return [float(m.basis.value(c)) for c in m.atoms]
+    except OverflowError:
+        raise InvalidArgument("a support value lies beyond the float range") from None
+
+
 def cf_eval(law: DiscreteLaw, t):
     """f(t) = sum of p_k * exp(i*t*x_k); t may be a scalar or ndarray."""
-    xs = np.array([float(law.basis.value(c)) for c in law.atoms])
+    xs = np.array(support_floats(law))
     ps = np.array([float(m) for m in law.atoms.values()])
     t_arr = np.asarray(t, dtype=float)
     vals = np.exp(1j * np.multiply.outer(t_arr, xs)) @ ps

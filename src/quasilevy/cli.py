@@ -37,7 +37,7 @@ from .limits import (
     tv_distance,
 )
 from .measures import DiscreteLaw
-from .spectral import TripletParams, continued_arg
+from .spectral import GRID_BUDGET, TripletParams, continued_arg
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -79,8 +79,8 @@ def emit_curves(law: DiscreteLaw, t_min: float, t_max: float, samples: int, zero
     The phase is continued from t = 0 regardless of t_min, so the Arg
     column is the distinguished-log phase, not a principal value.
     """
-    if samples < 2:
-        raise InvalidArgument("need at least 2 samples")
+    if not 2 <= samples <= GRID_BUDGET:
+        raise InvalidArgument(f"need 2 to {GRID_BUDGET} samples, got {samples}")
     if not (0 <= t_min < t_max < math.inf):
         raise InvalidArgument("need 0 <= t_min < t_max < inf")
     ts_out = np.linspace(t_min, t_max, samples)
@@ -144,7 +144,7 @@ def _cmd_check_s(args) -> int:
         try:
             rows = [(t, a, g) for t, _, _, a, g in emit_curves(law, 0.0, args.t_max, args.samples)]
             _write_csv(args.curves, ["t", "abs_f", "arg_f"], rows)
-        except (ZeroOnPath, StepTooCoarse) as exc:
+        except (ZeroOnPath, StepTooCoarse, InvalidArgument) as exc:
             print(f"curves skipped: {exc}", file=sys.stderr)
     if cert.verdict == "certified":
         return EXIT_OK

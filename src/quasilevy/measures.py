@@ -8,9 +8,11 @@ law never equals the signed measure with the same atoms.
 
 Atoms are keyed by integer coordinate vectors over a declared frequency
 basis (alpha_1..alpha_d), so every support point is an exact Z-linear
-combination of the basis.  Rational data is kept as `fractions.Fraction`
-end to end; statements like "the shift parameter lies in the support
-module" are then exact identities, not float comparisons.
+combination of the basis.  One check admits every key of a law, a measure
+or a triplet: integers only, d of them, and (0,) alone on the trivial
+basis.  Rational data is kept as `fractions.Fraction` end to end;
+statements like "the shift parameter lies in the support module" are then
+exact identities, not float comparisons.
 
 Floats are allowed both as basis entries (irrational surrogates such as
 sqrt(2)) and as masses/weights.  `module_generator` needs exact values
@@ -25,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Rational
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -81,7 +83,8 @@ class FrequencyBasis:
 
     Z-linear independence is trusted, never verified (it is not decidable
     from numeric values); downstream certificates record that the claim
-    was assumed.  The degenerate-at-zero law uses the trivial basis (0,).
+    was assumed.  The law degenerate at zero uses the trivial basis (0,),
+    whose only coords are (0,).
     """
 
     alphas: tuple[Scalar, ...]
@@ -94,7 +97,7 @@ class FrequencyBasis:
             raise ValueError("basis needs at least one element")
         for a in alphas:
             _check_scalar_finite(a, "basis element")
-        if alphas == (0,) or alphas == (Fraction(0),):
+        if alphas == (0,):
             return  # trivial basis for the law degenerate at zero
         if any(a == 0 for a in alphas):
             raise ValueError("basis elements must be nonzero (except the trivial basis (0,))")
@@ -111,20 +114,15 @@ class FrequencyBasis:
 
     def value(self, coords: Coords) -> Scalar:
         """The real number sum_j coords_j * alpha_j (exact when possible)."""
-        if len(coords) != self.d:
-            raise ValueError(f"coords length {len(coords)} != basis dimension {self.d}")
         total: Scalar = Fraction(0) if self.is_rational else 0.0
-        for c, a in zip(coords, self.alphas):
+        for c, a in zip(coords, self.alphas, strict=True):
             total += c * a
         return total
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyBasis):
             return NotImplemented
-        return (
-            len(self.alphas) == len(other.alphas)
-            and all(a == b for a, b in zip(self.alphas, other.alphas))
-        )
+        return self.alphas == other.alphas
 
     def __hash__(self):
         return hash(tuple(float(a) for a in self.alphas))
@@ -144,26 +142,21 @@ class SupportPoint:
     value: Scalar
 
 
-def _normalize_coords(coords, d: int) -> Coords:
-    if isinstance(coords, Integral):
-        coords = (coords,)
-    out = tuple(int(c) for c in coords)
-    if len(out) != d:
-        raise ValueError(f"coords {out} do not match basis dimension {d}")
-    if any(not isinstance(c, Integral) for c in coords):
-        raise ValueError(f"coords must be integers, got {coords!r}")
+def _normalize_coords(coords, basis: FrequencyBasis) -> Coords:
+    """coords as Python ints in one operator.index pass; a bare integer is the 1-tuple."""
+    try:
+        try:
+            out = tuple(map(operator.index, coords))
+        except TypeError:
+            out = (operator.index(coords),)
+    except TypeError:
+        raise ValueError(f"coords must be integers, got {coords!r}") from None
+    if len(out) != basis.d:
+        raise ValueError(f"coords {out} do not match basis dimension {basis.d}")
+    if out != (0,) and basis.alphas == (0,):
+        # any other key also names the point 0, but the torus lift puts it elsewhere: a false zero of f
+        raise ValueError(f"coords {out} on the trivial basis (0,); only (0,) is allowed")
     return out
-
-
-def _atoms_from_pairs(pairs, d: int, kind: str) -> dict[Coords, Scalar]:
-    atoms: dict[Coords, Scalar] = {}
-    for coords, w in pairs:
-        coords = _normalize_coords(coords, d)
-        _check_scalar_finite(w, kind)
-        if coords in atoms:
-            raise DuplicateAtom(f"atom {coords} listed twice")
-        atoms[coords] = w
-    return atoms
 
 
 class SignedAtomicMeasure:
@@ -181,7 +174,14 @@ class SignedAtomicMeasure:
         self.basis = basis
         if isinstance(atoms, Mapping):
             atoms = atoms.items()
-        self._atoms = MappingProxyType(self._checked(_atoms_from_pairs(atoms, basis.d, self._weight_name)))
+        checked: dict[Coords, Scalar] = {}
+        for coords, w in atoms:
+            coords = _normalize_coords(coords, basis)
+            _check_scalar_finite(w, self._weight_name)
+            if coords in checked:
+                raise DuplicateAtom(f"atom {coords} listed twice")
+            checked[coords] = w
+        self._atoms = MappingProxyType(self._checked(checked))
 
     @staticmethod
     def _checked(atoms: dict[Coords, Scalar]) -> dict[Coords, Scalar]:
@@ -193,7 +193,7 @@ class SignedAtomicMeasure:
         return self._atoms
 
     def weight(self, coords) -> Scalar:
-        return self._atoms.get(_normalize_coords(coords, self.basis.d), 0)
+        return self._atoms.get(_normalize_coords(coords, self.basis), 0)
 
     def total(self) -> Scalar:
         return sum(self._atoms.values(), start=Fraction(0) if self._is_exact_weights() else 0.0)

@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .charfn import SeparationParams, cf_eval, require_separated
+from .charfn import SeparationParams, cf_eval, require_separated, support_floats
 from .errors import InvalidArgument, NonConvergent, NonpositiveTau, StepTooCoarse, ZeroOnPath
-from .measures import Coords, DiscreteLaw, FrequencyBasis, Scalar, is_exact, lattice_points, reduce_support
+from .measures import (Coords, DiscreteLaw, FrequencyBasis, Scalar, SignedAtomicMeasure, _normalize_coords,
+                       is_exact, lattice_points, reduce_support, total_variation)
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_STEP_GUARD = 0.9 * math.pi
@@ -89,12 +89,15 @@ def continued_arg(law: DiscreteLaw, ts, zero_tol: float = 1e-10) -> tuple[np.nda
     The step starts at min(0.05, 0.3 / sum p_k |x_k|) and halves until
     every adjacent phase increment passes the distinguished_log guard.
     ZeroOnPath is raised if |f| dips below zero_tol on the grid, or if a
-    refinement fails where |f| < 1e-6; StepTooCoarse after 16 halvings.
+    refinement fails where |f| < 1e-6; StepTooCoarse after 16 halvings;
+    InvalidArgument past GRID_BUDGET grid points or the float range.
     """
     ts = np.asarray(ts, dtype=float)
-    amp = sum(float(m) * abs(float(law.basis.value(c))) for c, m in law.atoms.items())
+    amp = sum(float(m) * abs(x) for x, m in zip(support_floats(law), law.atoms.values()))
     step = min(0.05, 0.3 / max(amp, 1e-9))
     for _ in range(16):
+        if ts[-1] / step + 1 + len(ts) > GRID_BUDGET:
+            raise InvalidArgument(f"continuing the phase to t = {ts[-1]} needs more than {GRID_BUDGET} points")
         dense = np.unique(np.concatenate([np.arange(0.0, ts[-1] + step, step), ts]))
         vals = cf_eval(law, dense)
         if float(np.min(np.abs(vals))) < zero_tol:
@@ -122,12 +125,13 @@ class QuasiTriplet:
     """The pair (gamma, {lambda_u}) over a frequency basis, plus a tail bound.
 
     gamma_coords are integers, so gamma = sum_j m_j alpha_j lies in the
-    support module exactly.  lambdas maps nonzero integer frequency vectors
-    l (i.e. u = sum_j l_j alpha_j) to real weights.  tail_bound is a
-    certified bound on the l1 mass of everything not stored.
+    support module exactly.  The signed measure levy_measure maps nonzero
+    frequency vectors l (u = sum_j l_j alpha_j) to finite float weights;
+    lambdas is its read-only view.  tail_bound is a certified bound on the
+    l1 mass of everything not stored.
     """
 
-    __slots__ = ("basis", "gamma_coords", "_lambdas", "tail_bound", "diagnostics")
+    __slots__ = ("basis", "gamma_coords", "levy_measure", "tail_bound", "diagnostics")
 
     def __init__(
         self,
@@ -138,24 +142,16 @@ class QuasiTriplet:
         diagnostics: Optional[dict] = None,
     ):
         self.basis = basis
-        self.gamma_coords = tuple(int(c) for c in gamma_coords)
-        if len(self.gamma_coords) != basis.d:
-            raise ValueError("gamma_coords must match the basis dimension")
-        clean: dict[Coords, float] = {}
-        for coords, lam in lambdas.items():
-            coords = tuple(int(c) for c in coords)
-            if len(coords) != basis.d:
-                raise ValueError(f"frequency {coords} does not match the basis dimension {basis.d}")
-            if all(c == 0 for c in coords):
-                raise ValueError("zero frequency must not be stored; its weight is derived")
-            clean[coords] = float(lam)
-        self._lambdas = MappingProxyType(clean)
+        self.gamma_coords = _normalize_coords(gamma_coords, basis)
+        self.levy_measure = SignedAtomicMeasure(basis, ((c, float(v)) for c, v in lambdas.items()))
+        if (0,) * basis.d in self.levy_measure.atoms:
+            raise ValueError("zero frequency must not be stored; its weight is derived")
         self.tail_bound = float(tail_bound)
         self.diagnostics = diagnostics or {}
 
     @property
     def lambdas(self) -> Mapping[Coords, float]:
-        return self._lambdas
+        return self.levy_measure.atoms
 
     @property
     def d(self) -> int:
@@ -168,21 +164,17 @@ class QuasiTriplet:
         return self.basis.value(coords)
 
     def ell1(self) -> float:
-        return float(sum(abs(v) for v in self._lambdas.values()))
+        return total_variation(self.levy_measure)
 
     def __eq__(self, other):
         if not isinstance(other, QuasiTriplet):
             return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.gamma_coords == other.gamma_coords
-            and dict(self._lambdas) == dict(other.lambdas)
-            and self.tail_bound == other.tail_bound
-        )
+        return (self.levy_measure, self.gamma_coords, self.tail_bound) == (
+            other.levy_measure, other.gamma_coords, other.tail_bound)
 
     def __repr__(self):
         return (
-            f"QuasiTriplet(gamma={self.gamma_coords}, {len(self._lambdas)} frequencies, "
+            f"QuasiTriplet(gamma={self.gamma_coords}, {len(self.lambdas)} frequencies, "
             f"tail<={self.tail_bound:.2e})"
         )
 
@@ -191,7 +183,7 @@ def cf_from_triplet(triplet: QuasiTriplet, t):
     """exp(i*t*gamma + sum lambda_u (e^(i*t*u) - 1)) for scalar or array t."""
     t_arr = np.asarray(t, dtype=float)
     gamma = float(triplet.gamma_value())
-    us = np.array([float(triplet.basis.value(c)) for c in triplet.lambdas], dtype=float)
+    us = np.array(support_floats(triplet.levy_measure), dtype=float)
     lams = np.array(list(triplet.lambdas.values()), dtype=float)
     expo = 1j * t_arr * gamma
     if us.size:
@@ -423,8 +415,8 @@ def gamma_tau(triplet: QuasiTriplet, tau: float) -> float:
     if not tau > 0:
         raise NonpositiveTau(f"tau must be positive, got {tau}")
     total = float(triplet.gamma_value())
-    for coords, lam in triplet.lambdas.items():
-        total += lam * math.sin(tau * float(triplet.basis.value(coords))) / tau
+    for u, lam in zip(support_floats(triplet.levy_measure), triplet.lambdas.values()):
+        total += lam * math.sin(tau * u) / tau
     return total
 
 
@@ -455,9 +447,7 @@ class SpectralFunction:
 
 
 def levy_spectral_function(triplet: QuasiTriplet) -> SpectralFunction:
-    return SpectralFunction(
-        (float(triplet.basis.value(c)), lam) for c, lam in triplet.lambdas.items()
-    )
+    return SpectralFunction(zip(support_floats(triplet.levy_measure), triplet.lambdas.values()))
 
 
 # --- support truncation helper ----------------------------------------------------

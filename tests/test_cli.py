@@ -169,6 +169,19 @@ class TestCliCommands:
         cert = json.loads(capsys.readouterr().out)
         assert cert["verdict"] == "undecided"
 
+    @pytest.mark.parametrize("case", ["t_max_beyond_budget", "samples_beyond_budget", "support_beyond_float_range"])
+    def test_check_s_skips_curves_it_cannot_draw(self, tmp_path, capsys, case):
+        # the certificate stands, with its exit code; only the optional CSV is skipped
+        law_file = write(tmp_path, "law.json", {"basis": [1], "atoms": [
+            {"coords": [0], "mass": 0.8}, {"coords": [10**400 if case.startswith("support") else 1], "mass": 0.2}]})
+        curves = tmp_path / "c.csv"
+        extra = {"t_max_beyond_budget": ["--t-max", "1e300"], "samples_beyond_budget": ["--samples", str(10**20)],
+                 "support_beyond_float_range": []}[case]
+        assert main(["check-s", law_file, "--curves", str(curves), *extra]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verdict"] == "certified"
+        assert err.startswith("curves skipped: ") and not curves.exists()
+
     def test_tv_same_file_is_zero(self, tmp_path, capsys):
         law_file = write(tmp_path, "a.json", jsonio.law_to_json(GEOMETRIC))
         assert main(["tv", law_file, law_file]) == 0
@@ -254,7 +267,9 @@ class TestCliCommands:
          "nan_tol", "nan_id_tol", "inf_series_tol", "malformed_tol_option", "nan_env_tol", "malformed_env_tol",
          "mass_beyond_float_range", "mass_sum_beyond_float_range", "gap_above_one", "zero_gap",
          "negative_depth", "negative_zero_tol", "huge_d1_frequency", "duplicate_lattice_index",
-         "power_overflows_series", "power_beyond_float_range", "weight_overflows_series"],
+         "power_overflows_series", "power_beyond_float_range", "weight_overflows_series",
+         "curves_t_max_beyond_budget", "curves_samples_beyond_budget", "emit_curves_beyond_budget",
+         "curves_support_beyond_float_range", "trivial_basis_check_s", "trivial_basis_triplet"],
     )
     def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, monkeypatch, case):
         good = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
@@ -273,6 +288,11 @@ class TestCliCommands:
         huge = write(tmp_path, "huge.json", {"basis": [1], "atoms": [{"coords": [0], "mass": 10**400}]})
         huge_mixed = write(tmp_path, "huge2.json", {"basis": [1], "atoms": [
             {"coords": [0], "mass": 10**400}, {"coords": [1], "mass": 0.5}]})
+        far = write(tmp_path, "far.json", {"basis": [1], "atoms": [
+            {"coords": [0], "mass": 0.8}, {"coords": [10**400], "mass": 0.2}]})
+        # the point mass at 0 written with a second coordinate on the trivial basis
+        trivial = write(tmp_path, "trivial.json", {"basis": [0], "atoms": [
+            {"coords": [0], "mass": 0.5}, {"coords": [5], "mass": 0.5}]})
         if case.endswith("env_tol"):
             monkeypatch.setenv("QUASILEVY_TOL", "nan" if case == "nan_env_tol" else "abc")
         argv, error = {
@@ -299,6 +319,13 @@ class TestCliCommands:
             "power_overflows_series": (["power", trip, "--s", "1e30"], "Diverged"),
             "power_beyond_float_range": (["power", trip, "--s", "1e400"], "InvalidArgument"),
             "weight_overflows_series": (["reconstruct", heavy], "Diverged"),
+            "curves_t_max_beyond_budget": (["curves", good, "--t-max", "1e300"], "InvalidArgument"),
+            "curves_samples_beyond_budget": (["curves", good, "--samples", str(10**20)], "InvalidArgument"),
+            "emit_curves_beyond_budget": (["triplet", good, "--emit-curves", str(tmp_path / "c.csv"),
+                                           "--t-max", "1e300"], "InvalidArgument"),
+            "curves_support_beyond_float_range": (["curves", far], "InvalidArgument"),
+            "trivial_basis_check_s": (["check-s", trivial], "ParseError"),
+            "trivial_basis_triplet": (["triplet", trivial], "ParseError"),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -308,6 +335,8 @@ class TestCliCommands:
     def test_argument_errors_stay_value_errors(self):
         with pytest.raises(ValueError):
             emit_curves(GEOMETRIC, 5.0, 1.0, 16)
+        with pytest.raises(ValueError, match="points"):
+            emit_curves(GEOMETRIC, 0.0, 1e300, 16)
 
     def test_outputs_byte_stable(self, tmp_path):
         law_file = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))

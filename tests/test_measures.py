@@ -11,6 +11,7 @@ from quasilevy import (
     IrrationalSupport,
     MassSumNotOne,
     NegativeMass,
+    QuasiTriplet,
     SignedAtomicMeasure,
     convolve,
     module_generator,
@@ -59,6 +60,42 @@ class TestValidateLaw:
         with pytest.raises(MassSumNotOne):
             DiscreteLaw(B1, {(0,): 0.5})
         assert dict(DiscreteLaw(B1, {(0,): 1.0, (4,): 0.0}).atoms) == {(0,): 1.0}
+
+
+class TestCoordinateCheck:
+    """Laws, measures, triplet frequencies and gamma_coords share one coordinate check."""
+
+    BUILDERS = {
+        "law": lambda basis, c: DiscreteLaw(basis, {c: 1.0}).atoms,
+        "measure": lambda basis, c: SignedAtomicMeasure(basis, {c: -0.5}).atoms,
+        "triplet": lambda basis, c: QuasiTriplet(basis, (0,) * basis.d, {c: 0.5}).lambdas,
+        "gamma": lambda basis, c: [QuasiTriplet(basis, c, {}).gamma_coords],
+    }
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    @pytest.mark.parametrize(
+        "basis, coords, stored",
+        [(B1, (np.int64(2),), (2,)), (FrequencyBasis((1, 2)), (np.int32(1), np.uint8(3)), (1, 3)),
+         (B1, (True,), (1,)), (B1, (1.5,), None), (B1, (Fraction(3, 2),), None), (B1, (np.float64(2.0),), None),
+         (B1, ("1",), None), (B1, (1, 2), None), (FrequencyBasis((0,)), (5,), None)],
+        ids=["numpy_int", "numpy_int_pair", "bool", "float", "fraction", "numpy_float", "string", "wrong_length",
+             "off_origin_on_trivial_basis"],
+    )
+    def test_same_rule_everywhere(self, kind, basis, coords, stored):
+        build = self.BUILDERS[kind]
+        if stored is None:
+            with pytest.raises(ValueError, match="coords"):
+                build(basis, coords)
+        else:
+            (key,) = build(basis, coords)
+            assert key == stored and all(type(c) is int for c in key)
+
+    def test_trivial_basis_takes_origin_only(self):
+        basis = FrequencyBasis((0,))
+        assert dict(DiscreteLaw(basis, {(0,): 1.0}).atoms) == {(0,): 1.0}
+        assert DiscreteLaw.from_values([(0, 0.5), (Fraction(0), 0.5)]).basis == basis
+        with pytest.raises(ValueError, match="trivial basis"):
+            DiscreteLaw(basis, {(0,): 0.5, (5,): 0.5})
 
 
 class TestCarrier:

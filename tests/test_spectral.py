@@ -10,6 +10,7 @@ from quasilevy import (
     NonpositiveTau,
     NotSeparated,
     QuasiTriplet,
+    SignedAtomicMeasure,
     StepTooCoarse,
     TripletParams,
     ZeroOnPath,
@@ -20,6 +21,7 @@ from quasilevy import (
     levy_spectral_function,
     mean_motion,
     module_generator,
+    total_variation,
     triplet_lattice,
     triplet_multibasis,
     truncate_renormalize,
@@ -92,6 +94,22 @@ class TestTripletLattice:
         trip = triplet_lattice(DiscreteLaw.from_values([(3, 1.0)]))
         assert trip.gamma_value() == 3
         assert not trip.lambdas
+
+    def test_weights_are_a_read_only_measure(self):
+        trip = triplet_lattice(DiscreteLaw.from_lattice({0: 0.8, 1: 0.2}))
+        assert type(trip.levy_measure) is SignedAtomicMeasure and trip.lambdas is trip.levy_measure.atoms
+        assert trip.ell1() == total_variation(trip.levy_measure) > 0
+        with pytest.raises(TypeError):
+            trip.lambdas[(1,)] = 0.0
+        with pytest.raises(ValueError, match="coords must be integers"):
+            QuasiTriplet(B1, (1.7,), {})
+        with pytest.raises(ValueError, match="coords must be integers"):
+            QuasiTriplet(B1, (1,), {(2.5,): 0.1})
+        for weight in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                QuasiTriplet(B1, (1,), {(1,): weight})
+        with pytest.raises(ValueError, match="zero frequency"):
+            QuasiTriplet(B1, (1,), {(0,): 0.1})
 
     def test_geometric_matches_series_oracle(self):
         trip = triplet_lattice(geometric_law())
