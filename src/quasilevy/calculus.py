@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .charfn import UNIT_ROUNDOFF, _gamma
+from .charfn import UNIT_ROUNDOFF, _gamma, budget_slices
 from .errors import Diverged, InvalidArgument, NegativeMassBeyondTolerance
 from .measures import Coords, DiscreteLaw, SignedAtomicMeasure, convolve
 from .measures import hermite_basis, lattice_coords, lattice_points
@@ -91,10 +91,12 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
     if length <= 64 or reach > 2**52:  # too short to gain from, or beyond exact floats
         return lo, length, 0.0
     live = mags > 0
-    u = np.array(axis, dtype=float)[live]
+    u, live_mags = np.array(axis, dtype=float)[live], mags[live]
     theta = np.geomspace(1e-4, 64.0, 96) / reach
     with np.errstate(over="ignore"):
-        cumulant = {side: np.exp(side * np.outer(theta, u)) @ mags[live] for side in (1, -1)}
+        cumulant = {side: sum(np.exp(side * np.outer(theta, u[cols])) @ live_mags[cols]
+                              for cols in budget_slices(len(u), len(theta)))
+                    for side in (1, -1)}
 
     def edge(side: int, cap: int) -> int:
         # least R >= 1 with exp(-theta R + K(side theta)) <= e^log_share for some theta

@@ -23,6 +23,7 @@ from .measures import DiscreteLaw, SignedAtomicMeasure, reduce_support
 
 TWO_PI = 2.0 * math.pi
 UNIT_ROUNDOFF = 2.0**-53
+TERMS_BUDGET = 1 << 12  # most entries of one points x atoms matrix, the certificate's frontier among them
 
 
 def support_floats(m: SignedAtomicMeasure) -> list[float]:
@@ -33,13 +34,33 @@ def support_floats(m: SignedAtomicMeasure) -> list[float]:
         raise InvalidArgument("a support value lies beyond the float range") from None
 
 
+def budget_slices(n: int, width: int) -> list[slice]:
+    """Consecutive slices of range(n) whose rows of `width` entries make at most TERMS_BUDGET entries."""
+    step = max(1, TERMS_BUDGET // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def exp_sum(t, xs: np.ndarray, weights: np.ndarray, less_one: bool = False):
+    """sum_k w_k e^(i t x_k), or sum_k w_k (e^(i t x_k) - 1) when less_one, at scalar or array t.
+
+    The points x atoms matrix is made at most TERMS_BUDGET entries at a time.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    for rows in budget_slices(len(flat), len(xs)):
+        terms = np.exp(1j * np.multiply.outer(flat[rows], xs))
+        if less_one:
+            terms -= 1.0
+        out[rows] = terms @ weights
+    return complex(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+
+
 def cf_eval(law: DiscreteLaw, t):
     """f(t) = sum of p_k * exp(i*t*x_k); t may be a scalar or ndarray."""
     xs = np.array(support_floats(law))
     ps = np.array([float(m) for m in law.atoms.values()])
-    t_arr = np.asarray(t, dtype=float)
-    vals = np.exp(1j * np.multiply.outer(t_arr, xs)) @ ps
-    return complex(vals) if np.isscalar(t) or t_arr.ndim == 0 else vals
+    return exp_sum(t, xs, ps)
 
 
 class TorusFunction:
@@ -133,9 +154,15 @@ class SeparationCertificate:
                     search_log["depth_exhausted"] is True when max_depth,
                     False when max_cells, ended the search.  Never to be
                     read as a class-membership claim either way.
-    search_log holds the cells popped, the deepest depth reached, the
-    rounding_margin taken off every cell bound and the rank r of the
-    support lattice the search ran on.
+    search_log holds cells, the deepest depth reached, the rounding_margin
+    taken off every cell bound, the rank r of the support lattice the search
+    ran on, and frontier = {"depth": D, "cells": 2^D}, the uniform first
+    level the best-first search started from (D = 0, 0 cells when it started
+    from the root alone).  cells counts the root sample, the frontier cells
+    and every cell popped after them, and never passes max_cells.  A
+    certified mu is the least bound of the search's leaves: the popped bound
+    that ended it, or the floor of the frontier cells closed at once, if
+    lower.
     """
 
     verdict: str
@@ -202,6 +229,33 @@ def _evaluate(weights: np.ndarray, coords: np.ndarray, theta: np.ndarray) -> np.
     return weights @ np.exp(1j * (coords @ theta))
 
 
+def _cell_bounds(columns: list, radii: list, lip_r: float, quad: float, margin: float) -> tuple[list, list]:
+    """Bounds and moduli of cells of one depth from their [phi~, G_1, ..., G_d] columns, one at a time."""
+    bounds, moduli = [], []
+    for value, *grad in columns:
+        v = abs(value)
+        bound = v - lip_r
+        if v > margin:  # otherwise every bound is <= 0; this also keeps 0 out of the division
+            slope = sum(r * abs(value.real * g.imag - value.imag * g.real) for r, g in zip(radii, grad))
+            bound = max(bound, v - slope / v - quad)
+        bounds.append(bound - margin)
+        moduli.append(v)
+    return bounds, moduli
+
+
+def _frontier_bounds(values: np.ndarray, radii: list, lip_r: float, quad: float, margin: float):
+    """_cell_bounds over every column of values (d + 1, n) at once, bit for bit the same floats."""
+    value, grad = values[0], values[1:]
+    v = np.hypot(value.real, value.imag)  # libm hypot, as abs(complex); np.abs differs in the last bit
+    slope = 0.0
+    for r, g in zip(radii, grad):  # in _cell_bounds' order of summation
+        slope = slope + r * np.abs(value.real * g.imag - value.imag * g.real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = v - slope / v - quad
+    lipschitz = v - lip_r
+    return np.where(v > margin, np.maximum(lipschitz, second), lipschitz) - margin, v
+
+
 def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None) -> SeparationCertificate:
     """Branch-and-bound proof or refutation of |f(t)| >= mu > 0 on the torus.
 
@@ -220,14 +274,29 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     (Horst and Tuy, Global Optimization).  When |phi~(c)| is at most the
     margin only the first is taken.  L.r and the quadratic term are rounded
     up, and rounding_margin bounds every other float error, so the bound
-    holds for the exact law.  The cell with the smallest bound is split
-    first, along argmax L_j r_j; cells start from r = pi, so their radii,
-    L.r and quadratic term depend on the depth alone and are tabulated, and
-    a cell is stored as its integer index m with centre (2m + 1) r.  Both
-    children of a split are evaluated in one pass.  The search stops when
-    the smallest outstanding bound reaches target_gap times the best sampled
-    modulus (certified), a sample drops to zero_tol (zero found), or
-    max_depth or max_cells popped cells are reached (undecided).
+    holds for the exact law.  A cell at depth D is split along argmax L_j r_j
+    of its level; cells start from r = pi, so their radii, L.r and quadratic
+    term depend on the depth alone and are tabulated, and a cell is stored
+    as its integer index m with centre (2m + 1) r.
+
+    The root centre (pi, ..., pi) is sampled first, and a zero there is
+    reported at once (the symmetric laws' zeros sit on it).  The search then
+    starts from the frontier: every cell of the first depth D at which each
+    r_j <= pi / (4 (spread_j + 1)), spread_j the range of the reduced coords
+    on axis j, as in extraction's first grid.  D stops short of that when
+    2^D K would pass TERMS_BUDGET, D would pass max_depth, or 1 + 2^D cells
+    would reach max_cells; at D = 0 the root alone is the frontier.  The
+    2^D cells are evaluated in one pass, their bounds taken as one array
+    expression, and the best modulus of the root and frontier seeds the best
+    sample.  Frontier cells whose bound already reaches target_gap times
+    that sample are closed; the least of their bounds is kept as a floor,
+    and the others go to a heap.  From there the cell with the smallest
+    bound is split first, both children evaluated in one pass.  The search
+    stops when the smallest outstanding bound reaches target_gap times the
+    best sampled modulus (certified, mu the least of that bound and the
+    floor), a sample drops to zero_tol (zero found), or max_depth or
+    max_cells cells are reached (undecided); the cells counted are the root,
+    the frontier and each cell popped after it.
     """
     if params is None:
         params = SeparationParams()
@@ -238,10 +307,12 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
         return SeparationCertificate(
             verdict="certified", mu=1.0, best_inf_estimate=1.0,
             independence_assumed=independent,
-            search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0},
+            search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0,
+                        "frontier": {"depth": 0, "cells": 0}},
         )
     coords = np.array(list(reduced), dtype=float)
     masses = np.array([float(m) for m in reduced.values()])
+    fine = (math.pi / (4 * (coords.max(axis=0) - coords.min(axis=0) + 1))).tolist()
     coords -= coords[np.argmax(masses)]  # moving the law leaves |P| alone and shrinks L.r
     lip = np.abs(coords).T @ masses
     margin = rounding_margin(coords, masses)
@@ -259,34 +330,36 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
 
     levels = [level(np.full(rank, math.pi))]
 
+    def split_axis(depth: int) -> int:
+        """The axis the cells of this depth split along; tabulates the next level on first use."""
+        if len(levels) == depth + 1:
+            axis, radii = levels[depth][0], np.array(levels[depth][1])
+            radii[axis] *= 0.5
+            levels.append(level(radii))
+        return levels[depth][0]
+
     weights = np.vstack([masses, coords.T * masses])
 
     def cells(indices: list, depth: int) -> tuple[np.ndarray, list, list]:
         """Centres, bounds and sampled moduli of the cells with these indices at one depth."""
         _, radii, lip_r, quad = levels[depth]
         theta = np.array([[(2 * m + 1) * r for m, r in zip(idx, radii)] for idx in indices]).T
-        bounds, moduli = [], []
-        for value, *grad in _evaluate(weights, coords, theta).T.tolist():
-            v = abs(value)
-            bound = v - lip_r
-            if v > margin:  # otherwise every bound is <= 0; this also keeps 0 out of the division
-                slope = sum(r * abs(value.real * g.imag - value.imag * g.real) for r, g in zip(radii, grad))
-                bound = max(bound, v - slope / v - quad)
-            bounds.append(bound - margin)
-            moduli.append(v)
+        bounds, moduli = _cell_bounds(_evaluate(weights, coords, theta).T.tolist(), radii, lip_r, quad, margin)
         return theta, bounds, moduli
 
     cells_seen = 0
     max_depth_seen = 0
+    frontier = {"depth": 0, "cells": 0}
+    floor = math.inf
     counter = itertools.count()
 
     def log(**extra) -> dict:
-        return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin, rank=rank, **extra)
+        return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin, rank=rank,
+                    frontier=dict(frontier), **extra)
 
     root = (0,) * rank
     theta, (lb0,), (best_ub,) = cells([root], 0)
     best_theta = tuple(theta[:, 0].tolist())
-    heap: list = [(lb0, next(counter), 0, root)]
 
     def verdict_zero() -> SeparationCertificate:
         # a preimage of the point found, B^T theta = best_theta, nonzero on the pivots of B only:
@@ -308,9 +381,48 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             search_log=log(),
         )
 
+    def verdict_certified(mu: float) -> SeparationCertificate:
+        return SeparationCertificate(
+            verdict="certified",
+            mu=mu,
+            best_inf_estimate=best_ub,
+            depth=max_depth_seen,
+            independence_assumed=independent,
+            search_log=log(slack=best_ub - mu),
+        )
+
     if best_ub <= params.zero_tol:
         cells_seen = 1
         return verdict_zero()
+
+    depth = 0
+    while (any(r > f for r, f in zip(levels[depth][1], fine)) and depth < params.max_depth
+           and (2 << depth) * k <= TERMS_BUDGET and (2 << depth) + 1 < params.max_cells):
+        split_axis(depth)
+        depth += 1
+    if depth == 0:
+        heap: list = [(lb0, next(counter), 0, root)]
+    else:
+        _, radii, lip_r, quad = levels[depth]
+        index = np.indices([round(math.pi / r) for r in radii]).reshape(rank, -1)  # r = pi / 2^s exactly
+        theta = (2 * index + 1) * np.array(radii)[:, None]
+        bounds, moduli = _frontier_bounds(_evaluate(weights, coords, theta), radii, lip_r, quad, margin)
+        cells_seen = 1 + theta.shape[1]
+        max_depth_seen = depth
+        frontier = {"depth": depth, "cells": theta.shape[1]}
+        j = int(np.argmin(moduli))
+        if moduli[j] < best_ub:
+            best_ub, best_theta = float(moduli[j]), tuple(theta[:, j].tolist())
+            if best_ub <= params.zero_tol:
+                return verdict_zero()
+        open_cells = bounds < params.target_gap * best_ub
+        if not open_cells.all():
+            floor = float(bounds[~open_cells].min())
+        heap = [(b, next(counter), depth, tuple(idx))
+                for b, idx in zip(bounds[open_cells].tolist(), index[:, open_cells].T.tolist())]
+        heapq.heapify(heap)
+        if not heap:  # every frontier cell closed
+            return verdict_certified(floor)
 
     depth_exhausted = False
     while heap:
@@ -318,23 +430,12 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
         cells_seen += 1
         max_depth_seen = max(max_depth_seen, depth)
         if lb >= params.target_gap * best_ub and lb > 0:
-            # heap is ordered by bound: every remaining leaf is >= lb
-            return SeparationCertificate(
-                verdict="certified",
-                mu=lb,
-                best_inf_estimate=best_ub,
-                depth=max_depth_seen,
-                independence_assumed=independent,
-                search_log=log(slack=best_ub - lb),
-            )
+            # heap is ordered by bound: every remaining leaf is >= lb, every closed one >= floor
+            return verdict_certified(min(lb, floor))
         if depth >= params.max_depth or cells_seen >= params.max_cells:
             depth_exhausted = depth >= params.max_depth
             break
-        if len(levels) == depth + 1:
-            axis, radii = levels[depth][0], np.array(levels[depth][1])
-            radii[axis] *= 0.5
-            levels.append(level(radii))
-        axis = levels[depth][0]
+        axis = split_axis(depth)
         kids = [idx[:axis] + (2 * idx[axis] + side,) + idx[axis + 1:] for side in (0, 1)]
         theta, bounds, moduli = cells(kids, depth + 1)
         for j in (0, 1):

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .charfn import SeparationParams, cf_eval, require_separated, support_floats
+from .charfn import SeparationParams, cf_eval, exp_sum, require_separated, support_floats
 from .errors import InvalidArgument, NonConvergent, NonpositiveTau, StepTooCoarse, ZeroOnPath
 from .measures import (Coords, DiscreteLaw, FrequencyBasis, Scalar, SignedAtomicMeasure, _normalize_coords,
                        is_exact, lattice_points, reduce_support, total_variation)
@@ -187,7 +187,7 @@ def cf_from_triplet(triplet: QuasiTriplet, t):
     lams = np.array(list(triplet.lambdas.values()), dtype=float)
     expo = 1j * t_arr * gamma
     if us.size:
-        expo = expo + (np.exp(1j * np.multiply.outer(t_arr, us)) - 1.0) @ lams
+        expo = expo + exp_sum(t_arr, us, lams, less_one=True)
     out = np.exp(expo)
     return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 

@@ -215,6 +215,8 @@ class TestCertifySeparation:
             seen.clear()
             cert = certify_separation(law, SeparationParams(target_gap=gap))
             assert cert.verdict == "certified"
+            if law is wide:  # the frontier's centres are among those checked
+                assert any(theta.shape[1] > 2 for _, _, theta, _ in seen)
             margin = cert.search_log["rounding_margin"]
             # the search evaluates the reduced coords it was given, not the law's own
             for coords, masses, theta, values in seen:
@@ -271,6 +273,62 @@ class TestCertifySeparation:
         axis = 2 * math.pi * np.arange(256) / 256
         phi = torus_lift(law)
         assert min(abs(phi((a, b))) for a in axis[::4] for b in axis[::4]) >= cert.mu
+
+    def test_frontier_certifies_a_wide_law_in_one_pass(self):
+        law = DiscreteLaw.from_lattice({0: 0.97, 311: 0.02, 724: 0.01})
+        cert = certify_separation(law, SeparationParams(target_gap=0.9))
+        assert cert.verdict == "certified"
+        log = cert.search_log
+        # pi/(4 * 725) asks for 4096 cells; 3 atoms x 1024 cells fill the terms budget
+        assert log["frontier"] == {"depth": 10, "cells": 1024}
+        assert 1024 * 3 <= charfn.TERMS_BUDGET < 2048 * 3
+        assert log["cells"] - 1 - log["frontier"]["cells"] <= 8
+        vals, masses = law_values_masses(law)
+        assert 0.9 * cert.best_inf_estimate <= cert.mu <= dense_min_abs_cf(vals, masses, 2 * math.pi, 400_000)
+
+    def test_frontier_bound_is_the_split_bound_bit_for_bit(self, monkeypatch):
+        """The frontier's array bound and the split's per-cell bound are one formula: on random
+        frontier cells they give the same floats, at the centres (2m + 1) r a split would use."""
+        calls = []
+        evaluate, frontier_bounds = charfn._evaluate, charfn._frontier_bounds
+
+        def spy_evaluate(weights, coords, theta):
+            calls.append(theta.copy())
+            return evaluate(weights, coords, theta)
+
+        def spy_bounds(values, radii, lip_r, quad, margin):
+            out = frontier_bounds(values, radii, lip_r, quad, margin)
+            calls[-1] = (calls[-1], values, radii, lip_r, quad, margin, out)
+            return out
+
+        monkeypatch.setattr(charfn, "_evaluate", spy_evaluate)
+        monkeypatch.setattr(charfn, "_frontier_bounds", spy_bounds)
+        rng = np.random.default_rng(5)
+        laws = [DiscreteLaw.from_lattice({0: 0.55, 3: 0.2, 7: 0.15, 16: 0.1}), planar_gap_law(0.03),
+                random_planar_law(rng, B2, radius=3, max_extra=9), spatial_gap_law(0.05)]
+        for law in laws:
+            calls.clear()
+            cert = certify_separation(law, SeparationParams(target_gap=0.99))
+            (theta, values, radii, lip_r, quad, margin, (bounds, moduli)), = [c for c in calls if isinstance(c, tuple)]
+            assert cert.search_log["frontier"]["cells"] == theta.shape[1] > 2
+            picks = rng.choice(theta.shape[1], size=min(64, theta.shape[1]), replace=False).tolist()
+            index = np.round((theta[:, picks] / np.array(radii)[:, None] - 1) / 2).astype(int)
+            centres = [[(2 * m + 1) * r for m, r in zip(idx, radii)] for idx in index.T.tolist()]
+            assert theta[:, picks].T.tolist() == centres
+            split_bounds, split_moduli = charfn._cell_bounds(values[:, picks].T.tolist(), radii, lip_r, quad, margin)
+            assert bounds[picks].tolist() == split_bounds
+            assert moduli[picks].tolist() == split_moduli
+
+    def test_frontier_stays_within_max_cells(self):
+        law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        full = certify_separation(law, SeparationParams(max_cells=50)).search_log["frontier"]
+        assert full == {"depth": 3, "cells": 8}  # radius pi/8 <= pi/(4 * 2)
+        small = certify_separation(law, SeparationParams(max_cells=5))
+        assert small.search_log["frontier"]["depth"] < full["depth"]
+        assert small.search_log["cells"] == 5
+        by_depth = certify_separation(law, SeparationParams(max_depth=6))
+        assert by_depth.search_log["frontier"]["depth"] > 0
+        assert by_depth.search_log["depth_exhausted"] is True
 
     def test_search_stops_at_max_cells(self):
         law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})

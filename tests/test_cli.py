@@ -158,6 +158,9 @@ class TestCliCommands:
         assert main(["check-s", law_file]) == 0
         cert = json.loads(capsys.readouterr().out)
         assert cert["verdict"] == "certified" and cert["mu"] > 0.25
+        frontier = cert["search_log"]["frontier"]  # 50 atoms: 64 cells fill the terms budget
+        assert frontier == {"depth": 6, "cells": 64}
+        assert cert["search_log"]["cells"] >= 1 + frontier["cells"]
 
     def test_check_s_undecided_exit_2(self, tmp_path, capsys):
         doc = {"basis": [1], "atoms": [

@@ -234,11 +234,23 @@ def sampled_torus_min(law: DiscreteLaw, per_axis: int) -> float:
     return float(np.min(np.abs(np.exp(1j * thetas @ coords.T) @ masses)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(dominant_lattice_laws() | dominant_planar_laws(), st.sampled_from([0.9, 0.99, 0.999]))
+@st.composite
+def wide_lattice_laws(draw):
+    """Integer law of width up to 1024 with a dominant atom: its certificate starts from a deep frontier."""
+    width = draw(st.integers(64, 1024))
+    others = sorted(draw(st.sets(st.integers(1, width - 1), min_size=0, max_size=5)) | {width})
+    p_star = draw(st.floats(0.55, 0.95))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(others), max_size=len(others)))
+    rest = [w / sum(weights) * (1 - p_star) for w in weights]
+    where = draw(st.integers(0, len(rest)))
+    return DiscreteLaw.from_lattice(dict(zip([0, *others], rest[:where] + [p_star] + rest[where:])))
+
+
+@settings(max_examples=45, deadline=None)
+@given(dominant_lattice_laws() | dominant_planar_laws() | wide_lattice_laws(), st.sampled_from([0.9, 0.99, 0.999]))
 def test_certified_never_contradicts_dense_sampling(law, gap):
     cert = certify_separation(law, SeparationParams(target_gap=gap))
     assert cert.verdict == "certified"  # a dominant atom keeps |f| >= 2 p_max - 1 > 0
-    sampled = sampled_torus_min(law, 1 << 14 if law.basis.d == 1 else 256)
+    sampled = sampled_torus_min(law, 1 << 16 if law.basis.d == 1 else 256)
     assert sampled >= cert.mu - cert.search_log["rounding_margin"]
     assert cert.mu >= gap * cert.best_inf_estimate
