@@ -11,7 +11,6 @@ minimization of the lift over one torus cell.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -151,18 +150,21 @@ class SeparationCertificate:
                     never vanishes.
       "undecided":  depth/cell budget exhausted; best_inf_estimate reports
                     the smallest sampled |phi~|, and
-                    search_log["depth_exhausted"] is True when max_depth,
-                    False when max_cells, ended the search.  Never to be
-                    read as a class-membership claim either way.
+                    search_log["depth_exhausted"] is True when max_depth
+                    (or 2^62 cells along an axis, the most the int64 cell
+                    indices hold), False when max_cells, ended the search.
+                    Never to be read as a class-membership claim either way.
     search_log holds cells, the deepest depth reached, the rounding_margin
     taken off every cell bound, the rank r of the support lattice the search
     ran on, and frontier = {"depth": D, "cells": 2^D}, the uniform first
     level the best-first search started from (D = 0, 0 cells when it started
-    from the root alone).  cells counts the root sample, the frontier cells
-    and every cell popped after them, and never passes max_cells.  A
-    certified mu is the least bound of the search's leaves: the popped bound
-    that ended it, or the floor of the frontier cells closed at once, if
-    lower.
+    from the root alone), and rounds, the number of split rounds after the
+    frontier: each pops up to max(1, TERMS_BUDGET // (2K)) open cells, K the
+    number of atoms, and evaluates all their children in one pass.  cells
+    counts the root sample, the frontier cells and every cell popped after
+    them, and never passes max_cells.  A certified mu is the least bound of
+    the search's leaves: the popped bound that ended it, or the floor of the
+    frontier cells closed at once, if lower.
     """
 
     verdict: str
@@ -229,31 +231,21 @@ def _evaluate(weights: np.ndarray, coords: np.ndarray, theta: np.ndarray) -> np.
     return weights @ np.exp(1j * (coords @ theta))
 
 
-def _cell_bounds(columns: list, radii: list, lip_r: float, quad: float, margin: float) -> tuple[list, list]:
-    """Bounds and moduli of cells of one depth from their [phi~, G_1, ..., G_d] columns, one at a time."""
-    bounds, moduli = [], []
-    for value, *grad in columns:
-        v = abs(value)
-        bound = v - lip_r
-        if v > margin:  # otherwise every bound is <= 0; this also keeps 0 out of the division
-            slope = sum(r * abs(value.real * g.imag - value.imag * g.real) for r, g in zip(radii, grad))
-            bound = max(bound, v - slope / v - quad)
-        bounds.append(bound - margin)
-        moduli.append(v)
-    return bounds, moduli
+def _frontier_bounds(values: np.ndarray, radii: np.ndarray, lip_r, quad, margin: float):
+    """Bounds and moduli of the cells whose [phi~, G_1, ..., G_d] columns are values (d + 1, n).
 
-
-def _frontier_bounds(values: np.ndarray, radii: list, lip_r: float, quad: float, margin: float):
-    """_cell_bounds over every column of values (d + 1, n) at once, bit for bit the same floats."""
+    radii (d, n), lip_r = L.r and quad are per column, or broadcast from one
+    level's values.  Every float is that of the bound taken one cell at a
+    time in Python: abs(complex) for the modulus and the slope summed over
+    the axes in order.
+    """
     value, grad = values[0], values[1:]
     v = np.hypot(value.real, value.imag)  # libm hypot, as abs(complex); np.abs differs in the last bit
-    slope = 0.0
-    for r, g in zip(radii, grad):  # in _cell_bounds' order of summation
-        slope = slope + r * np.abs(value.real * g.imag - value.imag * g.real)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        second = v - slope / v - quad
-    lipschitz = v - lip_r
-    return np.where(v > margin, np.maximum(lipschitz, second), lipschitz) - margin, v
+    slope = (radii * np.abs(value.real * grad.imag - value.imag * grad.real)).sum(axis=0)  # row by row
+    big = v > margin  # otherwise only the Lipschitz bound is taken, which keeps 0 out of the division
+    bound = v - lip_r
+    np.maximum(bound, v - np.divide(slope, v, out=slope, where=big) - quad, out=bound, where=big)
+    return bound - margin, v
 
 
 def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None) -> SeparationCertificate:
@@ -290,13 +282,28 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     expression, and the best modulus of the root and frontier seeds the best
     sample.  Frontier cells whose bound already reaches target_gap times
     that sample are closed; the least of their bounds is kept as a floor,
-    and the others go to a heap.  From there the cell with the smallest
-    bound is split first, both children evaluated in one pass.  The search
-    stops when the smallest outstanding bound reaches target_gap times the
-    best sampled modulus (certified, mu the least of that bound and the
-    floor), a sample drops to zero_tol (zero found), or max_depth or
-    max_cells cells are reached (undecided); the cells counted are the root,
-    the frontier and each cell popped after it.
+    and the others go to a heap.
+
+    From there the search runs in rounds.  A round pops cells from the head
+    of the heap, smallest bound first, while the head is open (its bound
+    below target_gap times the best sampled modulus, or not positive), up
+    to max(1, TERMS_BUDGET // (2K)) cells, so that the K x children matrix
+    stays within one terms budget.  It splits them all, evaluates every
+    child in one pass and bounds them in one array expression; the cells of
+    a round may differ in depth, and each child takes the radii, L.r and
+    quadratic term of its own level.  The least child modulus becomes the
+    best sample if it is lower, and every child goes to the heap.  The
+    search stops when the first pop of a round is closed: every open leaf
+    is then in the heap, so the smallest outstanding bound reaches
+    target_gap times the best sampled modulus (certified, mu the least of
+    that bound and the floor).  It also stops when a sample drops to
+    zero_tol (zero found), or when a pop reaches max_depth or is the
+    max_cells-th cell (undecided); the children of the cells that round
+    already popped are evaluated first, so a zero among them is still
+    reported.  A split that would pass 2^62 cells along an axis counts as
+    reaching max_depth: the cell indices are int64, and 2m + 1 must fit.
+    The cells counted are the root, the frontier and each cell popped after
+    it.
     """
     if params is None:
         params = SeparationParams()
@@ -308,7 +315,7 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             verdict="certified", mu=1.0, best_inf_estimate=1.0,
             independence_assumed=independent,
             search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0,
-                        "frontier": {"depth": 0, "cells": 0}},
+                        "frontier": {"depth": 0, "cells": 0}, "rounds": 0},
         )
     coords = np.array(list(reduced), dtype=float)
     masses = np.array([float(m) for m in reduced.values()])
@@ -329,37 +336,47 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
         )
 
     levels = [level(np.full(rank, math.pi))]
+    table = np.empty((0, rank + 2))  # the radii, L.r and quadratic term of each level as rows, for the rounds
 
-    def split_axis(depth: int) -> int:
-        """The axis the cells of this depth split along; tabulates the next level on first use."""
-        if len(levels) == depth + 1:
-            axis, radii = levels[depth][0], np.array(levels[depth][1])
+    def tabulate(depth: int) -> None:
+        """Tabulate the levels through `depth`, each halving the radii of the one above along its split axis."""
+        while len(levels) <= depth:
+            axis, radii = levels[-1][0], np.array(levels[-1][1])
             radii[axis] *= 0.5
             levels.append(level(radii))
-        return levels[depth][0]
 
     weights = np.vstack([masses, coords.T * masses])
 
-    def cells(indices: list, depth: int) -> tuple[np.ndarray, list, list]:
-        """Centres, bounds and sampled moduli of the cells with these indices at one depth."""
-        _, radii, lip_r, quad = levels[depth]
-        theta = np.array([[(2 * m + 1) * r for m, r in zip(idx, radii)] for idx in indices]).T
-        bounds, moduli = _cell_bounds(_evaluate(weights, coords, theta).T.tolist(), radii, lip_r, quad, margin)
+    def sample(index: np.ndarray, radii: np.ndarray, lip_r, quad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centres, bounds and sampled moduli of the cells index (n, rank); radii (rank, n), L.r and the
+        quadratic term per column, or one level's, broadcast."""
+        theta = (2 * index.T + 1) * radii
+        bounds, moduli = _frontier_bounds(_evaluate(weights, coords, theta), radii, lip_r, quad, margin)
         return theta, bounds, moduli
+
+    def of_depth(depth: int) -> tuple:
+        """The radii (rank, 1), L.r and quadratic term of the cells of one depth."""
+        _, radii, lip_r, quad = levels[depth]
+        return np.array(radii)[:, None], lip_r, quad
 
     cells_seen = 0
     max_depth_seen = 0
+    rounds = 0
     frontier = {"depth": 0, "cells": 0}
     floor = math.inf
-    counter = itertools.count()
+    best_ub, best_theta = math.inf, ()
 
     def log(**extra) -> dict:
         return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin, rank=rank,
-                    frontier=dict(frontier), **extra)
+                    frontier=dict(frontier), rounds=rounds, **extra)
 
-    root = (0,) * rank
-    theta, (lb0,), (best_ub,) = cells([root], 0)
-    best_theta = tuple(theta[:, 0].tolist())
+    def take_best(theta: np.ndarray, moduli: np.ndarray) -> bool:
+        """Keep the least sampled modulus and its centre; True when it is a zero (at most zero_tol)."""
+        nonlocal best_ub, best_theta
+        j = int(moduli.argmin())
+        if moduli[j] < best_ub:
+            best_ub, best_theta = float(moduli[j]), tuple(theta[:, j].tolist())
+        return best_ub <= params.zero_tol
 
     def verdict_zero() -> SeparationCertificate:
         # a preimage of the point found, B^T theta = best_theta, nonzero on the pivots of B only:
@@ -391,59 +408,85 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             search_log=log(slack=best_ub - mu),
         )
 
-    if best_ub <= params.zero_tol:
+    index = np.zeros((1, rank), dtype=np.int64)  # row id: the integer index m of the cell with that id
+    theta, bounds, moduli = sample(index, *of_depth(0))
+    if take_best(theta, moduli):
         cells_seen = 1
         return verdict_zero()
 
     depth = 0
     while (any(r > f for r, f in zip(levels[depth][1], fine)) and depth < params.max_depth
            and (2 << depth) * k <= TERMS_BUDGET and (2 << depth) + 1 < params.max_cells):
-        split_axis(depth)
         depth += 1
+        tabulate(depth)
     if depth == 0:
-        heap: list = [(lb0, next(counter), 0, root)]
+        heap: list = [(float(bounds[0]), 0, 0)]  # (bound, id, depth); ids count up in order of evaluation
     else:
-        _, radii, lip_r, quad = levels[depth]
-        index = np.indices([round(math.pi / r) for r in radii]).reshape(rank, -1)  # r = pi / 2^s exactly
-        theta = (2 * index + 1) * np.array(radii)[:, None]
-        bounds, moduli = _frontier_bounds(_evaluate(weights, coords, theta), radii, lip_r, quad, margin)
-        cells_seen = 1 + theta.shape[1]
+        index = np.indices([round(math.pi / r) for r in levels[depth][1]]).reshape(rank, -1).T  # r = pi / 2^s exactly
+        theta, bounds, moduli = sample(index, *of_depth(depth))
+        cells_seen = 1 + len(index)
         max_depth_seen = depth
-        frontier = {"depth": depth, "cells": theta.shape[1]}
-        j = int(np.argmin(moduli))
-        if moduli[j] < best_ub:
-            best_ub, best_theta = float(moduli[j]), tuple(theta[:, j].tolist())
-            if best_ub <= params.zero_tol:
-                return verdict_zero()
+        frontier = {"depth": depth, "cells": len(index)}
+        if take_best(theta, moduli):
+            return verdict_zero()
         open_cells = bounds < params.target_gap * best_ub
         if not open_cells.all():
             floor = float(bounds[~open_cells].min())
-        heap = [(b, next(counter), depth, tuple(idx))
-                for b, idx in zip(bounds[open_cells].tolist(), index[:, open_cells].T.tolist())]
+        heap = [(b, i, depth) for b, i in zip(bounds[open_cells].tolist(), np.flatnonzero(open_cells).tolist())]
         heapq.heapify(heap)
         if not heap:  # every frontier cell closed
             return verdict_certified(floor)
 
-    depth_exhausted = False
-    while heap:
-        lb, _, depth, idx = heapq.heappop(heap)
-        cells_seen += 1
-        max_depth_seen = max(max_depth_seen, depth)
-        if lb >= params.target_gap * best_ub and lb > 0:
-            # heap is ordered by bound: every remaining leaf is >= lb, every closed one >= floor
-            return verdict_certified(min(lb, floor))
-        if depth >= params.max_depth or cells_seen >= params.max_cells:
-            depth_exhausted = depth >= params.max_depth
+    cap = max(1, TERMS_BUDGET // (2 * k))  # cells split per round: K x 2 cap children fill one terms budget
+    size = len(index)
+    depth_exhausted = stopped = False
+    while heap and not stopped:
+        target = params.target_gap * best_ub
+        ids, split, depths = [], [], []  # per child: its parent's id, where it splits in kids.flat, its depth
+        while heap and len(ids) < 2 * cap:
+            head = heap[0][0]
+            closed = head >= target and head > 0
+            if closed and ids:
+                break  # the next round pops it, once these children are in the heap
+            lb, i, depth = heapq.heappop(heap)
+            cells_seen += 1
+            max_depth_seen = max(max_depth_seen, depth)
+            if closed:
+                # heap is ordered by bound: every remaining leaf is >= lb, every closed one >= floor
+                return verdict_certified(min(lb, floor))
+            axis = levels[depth][0]
+            # a split past 2^62 cells along an axis would overflow the int64 centres 2m + 1
+            deep = depth >= params.max_depth or levels[depth][1][axis] * 2**61 < math.pi
+            if deep or cells_seen >= params.max_cells:
+                depth_exhausted = deep
+                stopped = True
+                break
+            split += (len(ids) * rank + axis, (len(ids) + 1) * rank + axis)
+            ids += (i, i)
+            depths += (depth + 1, depth + 1)
+        if not ids:  # the round's first pop stopped the search
             break
-        axis = split_axis(depth)
-        kids = [idx[:axis] + (2 * idx[axis] + side,) + idx[axis + 1:] for side in (0, 1)]
-        theta, bounds, moduli = cells(kids, depth + 1)
-        for j in (0, 1):
-            if moduli[j] < best_ub:
-                best_ub, best_theta = moduli[j], tuple(theta[:, j].tolist())
-                if best_ub <= params.zero_tol:
-                    return verdict_zero()
-            heapq.heappush(heap, (bounds[j], next(counter), depth + 1, kids[j]))
+        # evaluated also when a budget stopped the round, so that a zero among these children is reported
+        rounds += 1
+        tabulate(max(depths))
+        if len(table) < len(levels):
+            table = np.concatenate([table, [[*radii, lip_r, quad] for _, radii, lip_r, quad in levels[len(table):]]])
+        kids = index.take(ids, axis=0)  # a new array: each child starts from its parent's index m
+        split = np.array(split)
+        flat = kids.reshape(-1)  # a view, as kids is contiguous
+        flat[split] *= 2
+        flat[split[1::2]] += 1  # the children take 2m and 2m + 1 along the split axis
+        depths = np.array(depths)
+        rows = table.take(depths, axis=0)
+        theta, bounds, moduli = sample(kids, rows[:, :rank].T, rows[:, rank], rows[:, rank + 1])
+        if take_best(theta, moduli):
+            return verdict_zero()
+        if size + len(kids) > len(index):  # at least doubles, so the copies stay linear in the cells
+            index = np.concatenate([index, np.empty((max(len(index), len(kids)), rank), dtype=index.dtype)])
+        index[size:size + len(kids)] = kids
+        for entry in zip(bounds.tolist(), range(size, size + len(kids)), depths.tolist()):
+            heapq.heappush(heap, entry)
+        size += len(kids)
 
     return SeparationCertificate(
         verdict="undecided",

@@ -123,6 +123,26 @@ def random_planar_law(rng, basis, radius: int = 2, max_extra: int = 5,
     )
 
 
+def cell_bounds(columns, radii, lip_r, quad, margin: float) -> tuple[list, list]:
+    """Bounds and moduli of certify_separation's cells, one at a time in Python floats.
+
+    Cell i has the [phi~, G_1, ..., G_d] column columns[i], half-widths
+    radii[i], L.r lip_r[i] and quadratic term quad[i]; its bound is
+    max(|phi~| - L.r, |phi~| - sum_j r_j |Re(phi~) Im(G_j) - Im(phi~) Re(G_j)| / |phi~|
+    - quad) - margin, the second term only when |phi~| > margin.
+    """
+    bounds, moduli = [], []
+    for (value, *grad), cell_radii, cell_lip_r, cell_quad in zip(columns, radii, lip_r, quad):
+        v = abs(value)
+        bound = v - cell_lip_r
+        if v > margin:  # otherwise every bound is <= 0; this also keeps 0 out of the division
+            slope = sum(r * abs(value.real * g.imag - value.imag * g.real) for r, g in zip(cell_radii, grad))
+            bound = max(bound, v - slope / v - cell_quad)
+        bounds.append(bound - margin)
+        moduli.append(v)
+    return bounds, moduli
+
+
 def law_values_masses(law: DiscreteLaw):
     pts = law.support_points()
     return [float(p.value) for p in pts], [float(law.atoms[p.coords]) for p in pts]

@@ -16,6 +16,7 @@ from quasilevy import (
     torus_lift,
 )
 from quasilevy import charfn
+import oracles
 from oracles import dense_min_abs_cf, law_values_masses, random_lattice_law, random_planar_law
 
 B1 = FrequencyBasis((1,))
@@ -196,6 +197,13 @@ class TestCertifySeparation:
         refuted = certify_separation(bernoulli(0.5, 0.5))
         assert refuted.search_log["rounding_margin"] > 0 and "slack" not in refuted.search_log
 
+    def test_search_log_reports_rounds(self):
+        # each round after the frontier splits every open cell at the head of the heap at once
+        cert = certify_separation(spatial_gap_law(0.05), SeparationParams(target_gap=0.99))
+        log = cert.search_log
+        assert 1 <= log["rounds"] < log["cells"] - 1 - log["frontier"]["cells"]
+        assert certify_separation(DiscreteLaw.from_pairs(B2, [((2, -1), 1.0)])).search_log["rounds"] == 0
+
     def test_rounding_margin_covers_float_evaluation(self, monkeypatch):
         """Every centre the search evaluates (the leaves among them), re-evaluated with
         exact arguments and math.fsum, differs in modulus by at most rounding_margin."""
@@ -210,13 +218,19 @@ class TestCertifySeparation:
         monkeypatch.setattr(charfn, "_evaluate", spy)
         wide = DiscreteLaw.from_lattice({0: 0.97, 311: 0.02, 724: 0.01})
         planar = random_planar_law(np.random.default_rng(7), B2, radius=3, max_extra=9)
+        spatial = spatial_gap_law(0.05)
         worst = 0.0
-        for law, gap in [(planar_gap_law(0.03), 0.999), (wide, 0.99), (planar, 0.999)]:
+        for law, gap in [(planar_gap_law(0.03), 0.999), (wide, 0.99), (planar, 0.999), (spatial, 0.99)]:
             seen.clear()
             cert = certify_separation(law, SeparationParams(target_gap=gap))
             assert cert.verdict == "certified"
+            # no points x atoms matrix passes the terms budget
+            assert all(len(masses) * theta.shape[1] <= charfn.TERMS_BUDGET for _, masses, theta, _ in seen)
             if law is wide:  # the frontier's centres are among those checked
                 assert any(theta.shape[1] > 2 for _, _, theta, _ in seen)
+            if law is spatial:  # and those of rounds that split many cells at once, after the root and frontier
+                assert cert.search_log["frontier"]["depth"] > 0
+                assert any(theta.shape[1] > 2 for _, _, theta, _ in seen[2:])
             margin = cert.search_log["rounding_margin"]
             # the search evaluates the reduced coords it was given, not the law's own
             for coords, masses, theta, values in seen:
@@ -287,8 +301,9 @@ class TestCertifySeparation:
         assert 0.9 * cert.best_inf_estimate <= cert.mu <= dense_min_abs_cf(vals, masses, 2 * math.pi, 400_000)
 
     def test_frontier_bound_is_the_split_bound_bit_for_bit(self, monkeypatch):
-        """The frontier's array bound and the split's per-cell bound are one formula: on random
-        frontier cells they give the same floats, at the centres (2m + 1) r a split would use."""
+        """The array bound, on the frontier and on every later round, gives the floats of the
+        scalar reference taken one cell at a time, at the centres (2m + 1) r, with each cell's
+        own radii, L.r and quadratic term."""
         calls = []
         evaluate, frontier_bounds = charfn._evaluate, charfn._frontier_bounds
 
@@ -298,7 +313,10 @@ class TestCertifySeparation:
 
         def spy_bounds(values, radii, lip_r, quad, margin):
             out = frontier_bounds(values, radii, lip_r, quad, margin)
-            calls[-1] = (calls[-1], values, radii, lip_r, quad, margin, out)
+            n = values.shape[1]
+            per_column = [np.broadcast_to(x, shape) for x, shape in
+                          [(radii, (len(values) - 1, n)), (lip_r, (n,)), (quad, (n,))]]
+            calls[-1] = (calls[-1], values, *per_column, margin, out)
             return out
 
         monkeypatch.setattr(charfn, "_evaluate", spy_evaluate)
@@ -306,18 +324,29 @@ class TestCertifySeparation:
         rng = np.random.default_rng(5)
         laws = [DiscreteLaw.from_lattice({0: 0.55, 3: 0.2, 7: 0.15, 16: 0.1}), planar_gap_law(0.03),
                 random_planar_law(rng, B2, radius=3, max_extra=9), spatial_gap_law(0.05)]
-        for law in laws:
+        budgets = [charfn.TERMS_BUDGET] * len(laws) + [256]
+        laws.append(spatial_gap_law(0.05))  # with 256 terms a round splits at most 32 cells, so rounds mix depths
+        for law, budget in zip(laws, budgets):
+            monkeypatch.setattr(charfn, "TERMS_BUDGET", budget)
             calls.clear()
             cert = certify_separation(law, SeparationParams(target_gap=0.99))
-            (theta, values, radii, lip_r, quad, margin, (bounds, moduli)), = [c for c in calls if isinstance(c, tuple)]
-            assert cert.search_log["frontier"]["cells"] == theta.shape[1] > 2
-            picks = rng.choice(theta.shape[1], size=min(64, theta.shape[1]), replace=False).tolist()
-            index = np.round((theta[:, picks] / np.array(radii)[:, None] - 1) / 2).astype(int)
-            centres = [[(2 * m + 1) * r for m, r in zip(idx, radii)] for idx in index.T.tolist()]
-            assert theta[:, picks].T.tolist() == centres
-            split_bounds, split_moduli = charfn._cell_bounds(values[:, picks].T.tolist(), radii, lip_r, quad, margin)
-            assert bounds[picks].tolist() == split_bounds
-            assert moduli[picks].tolist() == split_moduli
+            assert cert.verdict == "certified"
+            root, first, *rounds = calls
+            assert root[0].shape[1] == 1
+            assert cert.search_log["frontier"]["cells"] == first[0].shape[1] > 2
+            assert len(rounds) == cert.search_log["rounds"] >= 1
+            mixed = [c for c in rounds if len({tuple(col) for col in c[2].T.tolist()}) > 1]
+            if budget < charfn.TERMS_BUDGET:
+                assert mixed and len(mixed[0][0].T) > 2
+            for theta, values, radii, lip_r, quad, margin, (bounds, moduli) in [first, *rounds[-1:], *mixed[:1]]:
+                picks = rng.choice(theta.shape[1], size=min(64, theta.shape[1]), replace=False).tolist()
+                index = np.round((theta[:, picks] / radii[:, picks] - 1) / 2).astype(int)
+                centres = [[(2 * m + 1) * r for m, r in zip(idx, rs)]
+                           for idx, rs in zip(index.T.tolist(), radii[:, picks].T.tolist())]
+                assert theta[:, picks].T.tolist() == centres
+                expected = oracles.cell_bounds(values[:, picks].T.tolist(), radii[:, picks].T.tolist(),
+                                               lip_r[picks].tolist(), quad[picks].tolist(), margin)
+                assert (bounds[picks].tolist(), moduli[picks].tolist()) == expected
 
     def test_frontier_stays_within_max_cells(self):
         law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
@@ -330,11 +359,30 @@ class TestCertifySeparation:
         assert by_depth.search_log["frontier"]["depth"] > 0
         assert by_depth.search_log["depth_exhausted"] is True
 
-    def test_search_stops_at_max_cells(self):
+    def test_search_stops_at_max_cells(self, monkeypatch):
         law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
         cert = certify_separation(law, SeparationParams(max_cells=50))
         assert cert.verdict == "undecided"
         assert cert.search_log["cells"] == 50
+        # the spatial law's rounds split many cells each; a max_cells that falls inside the second
+        # round stops at that very cell, not at the round's end
+        columns = []
+        evaluate = charfn._evaluate
+
+        def spy(weights, coords, theta):
+            columns.append(theta.shape[1])
+            return evaluate(weights, coords, theta)
+
+        monkeypatch.setattr(charfn, "_evaluate", spy)
+        spatial = spatial_gap_law(0.05)
+        full = certify_separation(spatial, SeparationParams(target_gap=0.99))
+        _, frontier, first, second, *_ = columns
+        assert full.verdict == "certified" and second >= 4
+        max_cells = 1 + frontier + first // 2 + second // 4
+        cut = certify_separation(spatial, SeparationParams(target_gap=0.99, max_cells=max_cells))
+        assert cut.verdict == "undecided"
+        assert cut.search_log["cells"] == max_cells
+        assert cut.search_log["depth_exhausted"] is False
 
     def test_depth_exhausted_names_the_budget_that_stopped(self):
         law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
@@ -346,6 +394,13 @@ class TestCertifySeparation:
         assert by_depth.verdict == "undecided"
         assert by_depth.search_log["max_depth"] == 6
         assert by_depth.search_log["depth_exhausted"] is True
+        # {0: .3, 1: .4, 2: .3} vanishes near t = 2.3005; with zero_tol 0 the search dives there until the
+        # cells along the axis reach 2^62, the most its int64 indices hold, and stops short of max_depth
+        refuted = DiscreteLaw.from_lattice({0: 0.3, 1: 0.4, 2: 0.3})
+        by_indices = certify_separation(refuted, SeparationParams(max_depth=100, zero_tol=0.0, max_cells=50_000))
+        assert by_indices.verdict == "undecided"
+        assert by_indices.search_log["depth_exhausted"] is True
+        assert by_indices.search_log["max_depth"] == 62
 
     @pytest.mark.parametrize("bad", [
         {"target_gap": 0.0}, {"target_gap": 2.0}, {"target_gap": math.nan}, {"max_depth": -1},

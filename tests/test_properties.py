@@ -225,6 +225,18 @@ def dominant_planar_laws(draw):
     return DiscreteLaw.from_pairs(FrequencyBasis((1, math.sqrt(2))), list(zip(support, [p_star, *rest])))
 
 
+@st.composite
+def dominant_spatial_laws(draw):
+    """Law on (1, sqrt 2, sqrt 3) with distinct support in [-2, 2]^3 and one atom of mass in [0.55, 0.95]:
+    its search splits the widest rounds."""
+    point = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+    support = draw(st.lists(point, min_size=2, max_size=6, unique=True))
+    p_star = draw(st.floats(0.55, 0.95))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support) - 1, max_size=len(support) - 1))
+    rest = [w / sum(weights) * (1 - p_star) for w in weights]
+    return DiscreteLaw.from_pairs(FrequencyBasis((1, math.sqrt(2), math.sqrt(3))), list(zip(support, [p_star, *rest])))
+
+
 def sampled_torus_min(law: DiscreteLaw, per_axis: int) -> float:
     """min |sum_k p_k exp(i <c_k, theta>)| over a tensor grid of the torus, evaluated directly."""
     coords = np.array(list(law.atoms), dtype=float)
@@ -246,11 +258,12 @@ def wide_lattice_laws(draw):
     return DiscreteLaw.from_lattice(dict(zip([0, *others], rest[:where] + [p_star] + rest[where:])))
 
 
-@settings(max_examples=45, deadline=None)
-@given(dominant_lattice_laws() | dominant_planar_laws() | wide_lattice_laws(), st.sampled_from([0.9, 0.99, 0.999]))
+@settings(max_examples=60, deadline=None)
+@given(dominant_lattice_laws() | dominant_planar_laws() | wide_lattice_laws() | dominant_spatial_laws(),
+       st.sampled_from([0.9, 0.99, 0.999]))
 def test_certified_never_contradicts_dense_sampling(law, gap):
     cert = certify_separation(law, SeparationParams(target_gap=gap))
     assert cert.verdict == "certified"  # a dominant atom keeps |f| >= 2 p_max - 1 > 0
-    sampled = sampled_torus_min(law, 1 << 16 if law.basis.d == 1 else 256)
+    sampled = sampled_torus_min(law, {1: 1 << 16, 2: 256, 3: 64}[law.basis.d])
     assert sampled >= cert.mu - cert.search_log["rounding_margin"]
     assert cert.mu >= gap * cert.best_inf_estimate
