@@ -64,7 +64,6 @@ from .measures import (
     SupportPoint,
     convolve,
     module_generator,
-    reduce_support,
     total_variation,
 )
 from .spectral import (

@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .charfn import UNIT_ROUNDOFF, _gamma, budget_slices
 from .errors import Diverged, InvalidArgument, NegativeMassBeyondTolerance
-from .measures import Coords, DiscreteLaw, SignedAtomicMeasure, convolve
-from .measures import hermite_basis, lattice_coords, lattice_points
+from .measures import DiscreteLaw, SignedAtomicMeasure, _lattice, convolve, lattice_map
 from .spectral import GRID_BUDGET, QuasiTriplet
 
 NEGATIVE_MASS_TOL = 1e-9  # per-atom: separates genuinely signed results from roundoff
@@ -85,13 +84,14 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
     e^log_share, and the bound at the final edges is returned (0 when the
     window holds the whole span).
     """
-    lo, hi = min(0, order * min(axis)), max(0, order * max(axis))
+    axis = np.asarray(axis)  # sized in Python ints below: a frequency from a triplet file may exceed int64
+    lo, hi = min(0, order * int(axis.min())), max(0, order * int(axis.max()))
     length = 1 << (hi - lo).bit_length()
-    reach = max(abs(c) for c in axis)
+    reach = int(abs(axis).max())
     if length <= 64 or reach > 2**52:  # too short to gain from, or beyond exact floats
         return lo, length, 0.0
     live = mags > 0
-    u, live_mags = np.array(axis, dtype=float)[live], mags[live]
+    u, live_mags = axis.astype(float)[live], mags[live]
     theta = np.geomspace(1e-4, 64.0, 96) / reach
     with np.errstate(over="ignore"):
         cumulant = {side: sum(np.exp(side * np.outer(theta, u[cols])) @ live_mags[cols]
@@ -121,11 +121,12 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
     return w_lo, short, outside(1, w_hi + 1) + outside(-1, -(w_lo - 1))
 
 
-def _compound_exp_fourier(lambdas: Mapping[Coords, float], params: ExpSeriesParams):
+def _compound_exp_fourier(keys: np.ndarray, lams: np.ndarray, params: ExpSeriesParams):
     """The series by the convolution theorem, for any d; returns (coords, weights, residual).
 
-    The weights go on a real array whose window along each axis holds the
-    series' mass (see _axis_window), a power of two per axis.  The cyclic
+    The weights lams, at the integer coords keys (n, d), go on a real
+    array whose window along each axis holds the series' mass (see
+    _axis_window), a power of two per axis.  The cyclic
     convolution of the FFT folds each coordinate outside the window onto
     one inside, which moves at most twice the mass outside it in l1.
     sum_{n<=M} J^n/n! is evaluated pointwise by Horner over rfftn(jump)
@@ -134,13 +135,11 @@ def _compound_exp_fourier(lambdas: Mapping[Coords, float], params: ExpSeriesPara
     tol/(10M) or the per-cell roundoff level, and an a-priori roundoff
     bound for the float evaluation (see _fourier_roundoff).
     """
-    lams = np.array(list(lambdas.values()), dtype=float)
     norm = float(np.sum(np.abs(lams)))
     scale = math.exp(-float(np.sum(lams)))
     order, series_tail = _series_order(norm, scale, params)
 
-    # sized in Python ints: a frequency from a triplet file may exceed int64
-    axes = list(zip(*lambdas))
+    axes = keys.T
     # per side: scale * bound <= tol / (4d), so twice the 2d bounds add at most tol
     log_share = math.log(params.tol) - math.log(4 * len(axes)) + float(np.sum(lams))
     windows = [_axis_window(axis, np.abs(lams), order, log_share) for axis in axes]
@@ -154,7 +153,7 @@ def _compound_exp_fourier(lambdas: Mapping[Coords, float], params: ExpSeriesPara
         )
     wrapped = 2.0 * scale * sum(w[2] for w in windows)
     jump = np.zeros(shape)
-    np.add.at(jump, tuple(np.array([c % n for c in axis]) for axis, n in zip(axes, shape)), lams)
+    np.add.at(jump, tuple(axis % n for axis, n in zip(axes, shape)), lams)
     z = np.fft.rfftn(jump)
     acc = np.ones_like(z)
     for n in range(order, 0, -1):  # Horner: 1 + z (1 + z/2 (1 + ... (1 + z/M)))
@@ -218,20 +217,23 @@ def compound_exp(
     exponential: the series tail, the pruned atoms, the mass folded over
     by the FFT and the roundoff bound of the Fourier-space evaluation.
     The total integral is 1 up to that bound, since the exponent vanishes
-    at t = 0.  The series runs on Z^r: the frequencies span B Z^r
-    (measures.hermite_basis), the weight at B k goes to k, and an output
-    atom at m lands at gamma + B m.
+    at t = 0.  The series runs on Z^r: the frequencies, stored as
+    c0 + B' m' (SignedAtomicMeasure.reduction), span B Z^r, B the Hermite
+    basis of c0 and the columns of B', so the weight at c0 + B' m' goes to
+    k0 + m' @ K with c0 = B k0 and B' = B K, and an output atom at m lands
+    at gamma + m @ B.
     """
     if params is None:
         params = ExpSeriesParams()
     gamma = triplet.gamma_coords
     if not triplet.lambdas:
         return SignedAtomicMeasure(triplet.basis, {gamma: 1.0}), 0.0
-    columns = hermite_basis(triplet.lambdas)
-    reduced = dict(zip(lattice_coords(columns, list(triplet.lambdas)), triplet.lambdas.values()))
-    coords, weights, residual = _compound_exp_fourier(reduced, params)
-    atoms = dict(zip(lattice_points(gamma, columns, coords.tolist()), weights.tolist()))
-    return SignedAtomicMeasure(triplet.basis, atoms), residual
+    c0, columns, m, lams = triplet.levy_measure.reduction()
+    span, k = _lattice(np.array([c0, *columns], dtype=object), triplet.basis)
+    if not span:  # every frequency has the value 0 on a rational basis, so the exponent vanishes
+        return SignedAtomicMeasure(triplet.basis, {gamma: 1.0}), 0.0
+    coords, weights, residual = _compound_exp_fourier(lattice_map(k[0], k[1:], m), lams, params)
+    return SignedAtomicMeasure(triplet.basis, (lattice_map(gamma, span, coords), weights)), residual
 
 
 @dataclass(frozen=True)
@@ -255,16 +257,16 @@ def reconstruct_law(
     if params is None:
         params = ExpSeriesParams()
     measure, residual = compound_exp(triplet, params)
-    weights = dict(measure.atoms)
     if _classification(measure) == "signed":
         raise NegativeMassBeyondTolerance(
             f"reconstruction is a signed measure (atom weight {_most_negative(measure)}); "
             "the triplet does not correspond to a probability law"
         )
-    clamped = -sum(float(w) for w in weights.values() if w < 0)
-    kept = {c: float(w) for c, w in weights.items() if w > 0}
-    total = sum(kept.values())
-    law = DiscreteLaw.from_pairs(triplet.basis, ((c, w / total) for c, w in kept.items()))
+    weights = measure.weights
+    clamped = -sum(weights[weights < 0].tolist())
+    kept = weights > 0
+    total = sum(weights[kept].tolist())
+    law = DiscreteLaw.from_pairs(triplet.basis, (measure.coords[kept], weights[kept] / total))
     report = ReconstructionReport(
         series_residual=residual,
         clamped_negative_mass=clamped,
@@ -275,7 +277,7 @@ def reconstruct_law(
 
 
 def _most_negative(measure: SignedAtomicMeasure) -> float:
-    return min((float(w) for w in measure.atoms.values()), default=0.0)
+    return min(measure.weights.tolist(), default=0.0)
 
 
 def _classification(measure: SignedAtomicMeasure) -> str:
@@ -310,14 +312,8 @@ class ConvPowerResult:
             raise ValueError(
                 "shift left the support module; carry shift_value as a real offset"
             )
-        shift = tuple(int(c) for c in self.shift_coords)
-        return SignedAtomicMeasure(
-            self.measure.basis,
-            {
-                tuple(a + b for a, b in zip(coords, shift)): w
-                for coords, w in self.measure.atoms.items()
-            },
-        )
+        shift = np.array([int(c) for c in self.shift_coords], dtype=object)
+        return SignedAtomicMeasure(self.measure.basis, (self.measure.coords + shift, self.measure.weights))
 
 
 def conv_power(
@@ -338,12 +334,8 @@ def conv_power(
         sf = float(s_exact)
     except (OverflowError, ValueError):
         raise InvalidArgument("the power s must be a finite number within the float range") from None
-    scaled = QuasiTriplet(
-        triplet.basis,
-        (0,) * triplet.d,
-        {c: sf * lam for c, lam in triplet.lambdas.items()},
-        tail_bound=sf * triplet.tail_bound,
-    )
+    scaled = QuasiTriplet(triplet.basis, (0,) * triplet.d, triplet.levy_measure.scaled(sf),
+                          tail_bound=sf * triplet.tail_bound)
     measure, residual = compound_exp(scaled, params)
     shift_coords = tuple(s_exact * m for m in triplet.gamma_coords)
     shift_value = float(

@@ -18,19 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgument, NotSeparated
-from .measures import DiscreteLaw, SignedAtomicMeasure, reduce_support
+from .measures import DiscreteLaw
 
 TWO_PI = 2.0 * math.pi
 UNIT_ROUNDOFF = 2.0**-53
 TERMS_BUDGET = 1 << 12  # most entries of one points x atoms matrix, the certificate's frontier among them
-
-
-def support_floats(m: SignedAtomicMeasure) -> list[float]:
-    """The support values x_k as floats, in atom order; InvalidArgument beyond the float range."""
-    try:
-        return [float(m.basis.value(c)) for c in m.atoms]
-    except OverflowError:
-        raise InvalidArgument("a support value lies beyond the float range") from None
 
 
 def budget_slices(n: int, width: int) -> list[slice]:
@@ -57,9 +49,7 @@ def exp_sum(t, xs: np.ndarray, weights: np.ndarray, less_one: bool = False):
 
 def cf_eval(law: DiscreteLaw, t):
     """f(t) = sum of p_k * exp(i*t*x_k); t may be a scalar or ndarray."""
-    xs = np.array(support_floats(law))
-    ps = np.array([float(m) for m in law.atoms.values()])
-    return exp_sum(t, xs, ps)
+    return exp_sum(t, law.support_floats(), law.weights)
 
 
 class TorusFunction:
@@ -71,8 +61,8 @@ class TorusFunction:
     def __init__(self, law: DiscreteLaw):
         self.law = law
         self.d = law.basis.d
-        self.coords = np.array(list(law.atoms.keys()), dtype=float)
-        self.masses = np.array([float(m) for m in law.atoms.values()])
+        self.coords = law.coords.astype(float)
+        self.masses = law.weights
 
     def __call__(self, theta) -> complex:
         theta = np.asarray(theta, dtype=float)
@@ -251,10 +241,10 @@ def _frontier_bounds(values: np.ndarray, radii: np.ndarray, lip_r, quad, margin:
 def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None) -> SeparationCertificate:
     """Branch-and-bound proof or refutation of |f(t)| >= mu > 0 on the torus.
 
-    The search runs on the reduced support c0 + B Z^r (reduce_support):
-    with P the lift of the masses keyed by m, |phi~(theta)| = |P(B^T theta)|
-    and theta -> B^T theta maps the torus onto [0, 2pi]^r, so both have the
-    same infimum.  The c_k below are the reduced coords m_k less those of
+    The search runs on the law's stored reduction c0 + B Z^r
+    (SignedAtomicMeasure.reduction): with P the lift of the masses keyed
+    by m, |phi~(theta)| = |P(B^T theta)| and theta -> B^T theta maps the
+    torus onto [0, 2pi]^r, so both have the same infimum.  The c_k below are the reduced coords m_k less those of
     the heaviest atom, which leaves |P| as it is; when that atom carries
     more than half the mass, each L_j = sum_k p_k |c_kj| is then least.
     A cell of [0, 2pi]^r with centre c and half-widths r carries the lower
@@ -308,7 +298,7 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     if params is None:
         params = SeparationParams()
     independent = law.basis.declared_independent
-    _, columns, reduced = reduce_support(law.atoms)
+    _, columns, reduced, masses = law.reduction()
     rank = len(columns)
     if rank == 0:  # a point mass: |phi~| is 1 exactly
         return SeparationCertificate(
@@ -317,8 +307,7 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0,
                         "frontier": {"depth": 0, "cells": 0}, "rounds": 0},
         )
-    coords = np.array(list(reduced), dtype=float)
-    masses = np.array([float(m) for m in reduced.values()])
+    coords = reduced.astype(float)
     fine = (math.pi / (4 * (coords.max(axis=0) - coords.min(axis=0) + 1))).tolist()
     coords -= coords[np.argmax(masses)]  # moving the law leaves |P| alone and shrinks L.r
     lip = np.abs(coords).T @ masses

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .charfn import SeparationCertificate, SeparationParams, certify_separation
 from .errors import LimitNotSeparated, NotSeparated, QuasiLevyError, TripletFailed
 from .measures import Coords, DiscreteLaw, same_basis
@@ -69,16 +71,12 @@ def ell1_triplet_distance(t1: QuasiTriplet, t2: QuasiTriplet) -> float:
 
 
 def frequency_universe(triplets: Sequence[QuasiTriplet]) -> list[Coords]:
-    """Deterministic enumeration of all realized frequencies, zero first."""
-    basis = triplets[0].basis
-    seen: set[Coords] = set()
+    """Deterministic enumeration of all realized frequencies, zero first; each float value is read once."""
+    values: dict[Coords, float] = {}
     for t in triplets:
-        seen.update(t.lambdas.keys())
-    ordered = sorted(
-        seen,
-        key=lambda c: (abs(float(basis.value(c))), 0 if float(basis.value(c)) < 0 else 1, c),
-    )
-    return [(0,) * basis.d] + ordered
+        values.update(zip(t.lambdas, t.levy_measure.support_floats().tolist()))
+    ordered = sorted(values, key=lambda c: (abs(values[c]), 0 if values[c] < 0 else 1, c))
+    return [(0,) * triplets[0].basis.d] + ordered
 
 
 def _extract_all(seq: LawSequence, params: Optional[TripletParams]) -> list[QuasiTriplet]:
@@ -272,15 +270,14 @@ def check_relative_compactness(
 
     universe = frequency_universe(triplets)[1:]  # nonzero frequencies, enumerated
     schedule = sorted(set(int(n) for n in n_tail_schedule))
-    sup_tails = []
-    for n_keep in schedule:
-        cut = universe[n_keep:]
-        sup_tails.append(
-            max(
-                (sum(abs(t.lambdas.get(c, 0.0)) for c in cut) + t.tail_bound for t in triplets),
-                default=0.0,
-            )
-        )
+    # per member, tails[j] = the l1 mass of its weights at universe[j:], one reversed cumulative sum
+    where = {c: j for j, c in enumerate(universe)}
+    tails = np.zeros((len(triplets), len(universe) + 1))
+    for row, t in zip(tails, triplets):
+        row[[where[c] for c in t.lambdas]] = np.abs(t.levy_measure.weights)
+        row[::-1] = np.cumsum(row[::-1]) + t.tail_bound
+    cut = [min(n_keep, len(universe)) for n_keep in schedule]
+    sup_tails = tails[:, cut].max(axis=0).tolist()
     tails_decreasing = _nonincreasing(sup_tails)
     pass_iii = tails_decreasing and (not sup_tails or sup_tails[-1] < thresholds.tail_tol)
 

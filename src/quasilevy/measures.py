@@ -8,32 +8,37 @@ law never equals the signed measure with the same atoms.
 
 Atoms are keyed by integer coordinate vectors over a declared frequency
 basis (alpha_1..alpha_d), so every support point is an exact Z-linear
-combination of the basis.  One check admits every key of a law, a measure
-or a triplet: integers only, d of them, and (0,) alone on the trivial
-basis.  Rational data is kept as `fractions.Fraction` end to end;
-statements like "the shift parameter lies in the support module" are then
-exact identities, not float comparisons.
+combination of the basis.  One array check admits the keys of a law, a
+measure or a triplet at once: integers only, d of them, and (0,) alone
+on the trivial basis.  Rational data is kept as `fractions.Fraction` end
+to end; statements like "the shift parameter lies in the support module"
+are then exact identities, not float comparisons.
 
 Floats are allowed both as basis entries (irrational surrogates such as
 sqrt(2)) and as masses/weights.  `module_generator` needs exact values
-and refuses float bases.  `reduce_support` works on the integer coords
-alone, so it serves every basis: it writes the support as c0 + B Z^r.
+and refuses float bases.  Each measure writes its support as c0 + B Z^r
+once, on first use (SignedAtomicMeasure.reduction), and every numeric
+layer reads that reduction: on the integer coords for every basis, on
+the exact values when a rational basis makes the coords Z-dependent.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Union
+
+import numpy as np
 
 from .errors import (
     BasisMismatch,
     DuplicateAtom,
+    InvalidArgument,
     IrrationalSupport,
     MassSumNotOne,
     NegativeMass,
@@ -142,8 +147,21 @@ class SupportPoint:
     value: Scalar
 
 
-def _normalize_coords(coords, basis: FrequencyBasis) -> Coords:
-    """coords as Python ints in one operator.index pass; a bare integer is the 1-tuple."""
+def _compact(a: np.ndarray) -> np.ndarray:
+    """An array of exact integers as int64 when every entry fits, else as the Python ints it holds."""
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _exact_coords(coords, d: int) -> Coords:
+    """One key as Python ints in one operator.index pass; a bare integer is the 1-tuple."""
     try:
         try:
             out = tuple(map(operator.index, coords))
@@ -151,12 +169,35 @@ def _normalize_coords(coords, basis: FrequencyBasis) -> Coords:
             out = (operator.index(coords),)
     except TypeError:
         raise ValueError(f"coords must be integers, got {coords!r}") from None
-    if len(out) != basis.d:
-        raise ValueError(f"coords {out} do not match basis dimension {basis.d}")
-    if out != (0,) and basis.alphas == (0,):
-        # any other key also names the point 0, but the torus lift puts it elsewhere: a false zero of f
-        raise ValueError(f"coords {out} on the trivial basis (0,); only (0,) is allowed")
+    if len(out) != d:
+        raise ValueError(f"coords {out} do not match basis dimension {d}")
     return out
+
+
+def _coords_array(keys, basis: FrequencyBasis) -> np.ndarray:
+    """The keys as a read-only (n, d) array of exact integers, checked as one array.
+
+    Any key set but integer keys of int64 (floats, strings, ragged keys,
+    integers beyond int64) is checked key by key, naming the first bad key.
+    """
+    try:
+        arr = np.array(keys)
+    except (ValueError, OverflowError):  # ragged keys
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind in "ib" and arr.ndim in (1, 2) and arr.size:
+        arr = (arr if arr.ndim == 2 else arr[:, None]).astype(np.int64, copy=False)  # a bare integer is the 1-tuple
+        if arr.shape[1] != basis.d:
+            raise ValueError(f"coords {tuple(arr[0].tolist())} do not match basis dimension {basis.d}")
+    else:
+        arr = _compact(np.array([_exact_coords(k, basis.d) for k in keys], object).reshape(len(keys), basis.d))
+    if basis.alphas == (0,) and arr.any():  # any other key also names 0, but the torus lift puts it elsewhere
+        raise ValueError(f"coords {tuple(arr[arr.any(axis=1)][0].tolist())} on the trivial basis (0,); "
+                         "only (0,) is allowed")
+    return _read_only(arr)
+
+
+def _normalize_coords(coords, basis: FrequencyBasis) -> Coords:
+    return tuple(_coords_array([coords], basis)[0].tolist())
 
 
 class SignedAtomicMeasure:
@@ -164,24 +205,41 @@ class SignedAtomicMeasure:
 
     The carrier for logarithms, differences and fractional convolution
     powers of laws, and the base of DiscreteLaw.  Immutable after
-    construction.
+    construction.  Atoms come as a mapping, as (coords, weight) pairs, or
+    as the arrays (coords (n, d), weights (n,)) a numeric layer hands over,
+    and are checked as arrays.  Beside the atoms it keeps its coords and a
+    float view of its weights, and makes its support values and its support
+    lattice c0 + B Z^r once, on first use.
     """
 
-    __slots__ = ("basis", "_atoms")
+    __slots__ = ("basis", "_atoms", "coords", "weights", "_values", "_reduction")
     _weight_name = "weight"
 
     def __init__(self, basis: FrequencyBasis, atoms: Mapping[Coords, Scalar] | Iterable):
         self.basis = basis
         if isinstance(atoms, Mapping):
             atoms = atoms.items()
-        checked: dict[Coords, Scalar] = {}
-        for coords, w in atoms:
-            coords = _normalize_coords(coords, basis)
-            _check_scalar_finite(w, self._weight_name)
-            if coords in checked:
-                raise DuplicateAtom(f"atom {coords} listed twice")
-            checked[coords] = w
-        self._atoms = MappingProxyType(self._checked(checked))
+        if isinstance(atoms, tuple) and len(atoms) == 2 and isinstance(atoms[1], np.ndarray):
+            keys, weights = atoms[0], atoms[1].tolist()
+        else:
+            pairs = list(atoms)
+            keys, weights = [c for c, _ in pairs], [w for _, w in pairs]
+        coords = _coords_array(keys, basis)
+        atoms = dict(zip(map(tuple, coords.tolist()), weights))
+        if len(atoms) < len(weights):
+            seen: set = set()
+            twice = next(c for c in map(tuple, coords.tolist()) if c in seen or seen.add(c))
+            raise DuplicateAtom(f"atom {twice} listed twice")
+        kept = self._checked(atoms)  # a law's mass check comes first: it also refuses masses beyond the float range
+        view = np.array(weights, dtype=float)  # OverflowError for an exact weight beyond the float range
+        if not np.isfinite(view).all():
+            raise ValueError(f"{self._weight_name} must be finite, got {weights[np.argmin(np.isfinite(view))]!r}")
+        if len(kept) < len(atoms):
+            keep = np.array([c in kept for c in atoms])
+            coords, view = _read_only(coords[keep]), view[keep]
+        self._atoms = MappingProxyType(kept)
+        self.coords, self.weights = coords, _read_only(view)
+        self._values = self._reduction = None
 
     @staticmethod
     def _checked(atoms: dict[Coords, Scalar]) -> dict[Coords, Scalar]:
@@ -191,6 +249,44 @@ class SignedAtomicMeasure:
     @property
     def atoms(self) -> Mapping[Coords, Scalar]:
         return self._atoms
+
+    def support_floats(self) -> np.ndarray:
+        """The support values as floats in atom order, as FrequencyBasis.value sums them, rounded once.
+
+        InvalidArgument beyond the float range.
+        """
+        if self._values is None:
+            terms = self.coords.astype(object) * np.array(self.basis.alphas, dtype=object)
+            try:
+                self._values = _read_only(np.asarray(
+                    sum(terms.T, 0 if self.basis.is_rational else 0.0), dtype=float))
+            except OverflowError:
+                raise InvalidArgument("a support value lies beyond the float range") from None
+        return self._values
+
+    def reduction(self) -> tuple[Coords, tuple[Coords, ...], np.ndarray, np.ndarray]:
+        """The support as c0 + B Z^r, made on first use and kept: (c0, columns of B, m (n, r), float weights).
+
+        c0 is the lexicographically least support point and B the Hermite
+        basis of the differences (_lattice), so atom k sits at c0 + B m_k.
+        A law over the basis alpha becomes a law on Z^r over B^T alpha:
+        theta -> B^T theta maps the torus onto the torus, so |phi~| has the
+        same infimum on both, and a frequency k of the reduced law is B k.
+        A point mass has r = 0.  Atoms of one m, which only a rational basis
+        gives, add their weights.
+        """
+        if self._reduction is None:
+            c0 = min(self._atoms)
+            columns, m = _lattice(self.coords.astype(object) - np.array(c0, dtype=object), self.basis)
+            weights = self.weights
+            if self.basis.d > 1 and self.basis.is_rational:  # the exact sum of the weights of each m, rounded once
+                merged: dict = {}
+                for key, w in zip(map(tuple, m.tolist()), self._atoms.values()):
+                    merged[key] = merged.get(key, 0) + Fraction(w)
+                m = np.array(list(merged), dtype=object).reshape(len(merged), len(columns))
+                weights = np.array([float(w) for w in merged.values()])
+            self._reduction = (c0, columns, _read_only(_compact(m)), _read_only(weights))
+        return self._reduction
 
     def weight(self, coords) -> Scalar:
         return self._atoms.get(_normalize_coords(coords, self.basis), 0)
@@ -202,7 +298,12 @@ class SignedAtomicMeasure:
         return all(is_exact(w) for w in self._atoms.values())
 
     def scaled(self, c: Scalar) -> "SignedAtomicMeasure":
-        return SignedAtomicMeasure(self.basis, {k: c * w for k, w in self._atoms.items()})
+        """c times the measure, sharing its coords and its reduction, whose weights scale as floats."""
+        out = SignedAtomicMeasure(self.basis, (self.coords, np.array([c * w for w in self._atoms.values()], object)))
+        if self._atoms:
+            c0, columns, m, weights = self.reduction()
+            out._reduction = (c0, columns, m, _read_only(float(c) * weights))
+        return out
 
     def plus(self, other: "SignedAtomicMeasure") -> "SignedAtomicMeasure":
         same_basis(self.basis, other.basis, "measure sum")
@@ -355,89 +456,72 @@ def module_generator(law: DiscreteLaw) -> ModuleDescription:
 # -- the support lattice c0 + B Z^r -------------------------------------------
 
 
-def _minus(column: list, ms: list, b: int) -> list:
-    """column - b ms, elementwise."""
-    return list(map(operator.sub, column, map(operator.mul, ms, itertools.repeat(b))))
-
-
-def hermite_basis(vectors: Iterable[Coords]) -> tuple[Coords, ...]:
+def hermite_basis(vectors) -> tuple[Coords, ...]:
     """Basis of the Z-span of integer vectors, in Hermite normal form.
 
     The rows b_1..b_r returned are the columns of the d x r matrix B, so
     the span is B Z^r with r the rank.  Row i is zero left of its pivot
     p_i, the pivots increase and are positive, and every entry above a
     pivot lies in [0, pivot).  Exact, in Python ints; for d = 1 it is the
-    gcd of the values.  The vectors are held by column.
+    gcd of the values.
     """
-    cols = [list(c) for c in zip(*vectors)]
-    basis: list[list[int]] = []
-    for col, values in enumerate(cols):
+    rows = np.array(list(vectors), dtype=object)
+    basis: list[np.ndarray] = []
+    for col in range(rows.shape[1] if rows.size else 0):
+        values = rows[:, col]
         g = math.gcd(*values)
         if not g:
             continue
         # the pivot entry must reach the gcd g of the column: combine the pivot with a
         # row whose entry it does not divide, u a + w b = gcd(a, b), until it does
-        i = next(i for i, x in enumerate(values) if x)
-        pivot = [c[i] for c in cols]
+        pivot = rows[np.flatnonzero(values)[0]]
         while abs(pivot[col]) != g:
-            i = next(i for i, x in enumerate(values) if x % pivot[col])
-            row = [c[i] for c in cols]
+            row = rows[np.flatnonzero(values % pivot[col])[0]]
             a, b = pivot[col], row[col]
             h = math.gcd(a, b)
             u = pow(a // h, -1, abs(b) // h)
-            pivot = [u * x + (h - u * a) // b * y for x, y in zip(pivot, row)]
-        pivot = [x if pivot[col] > 0 else -x for x in pivot]
-        for b in basis:
-            q = b[col] // g
-            b[:] = [x - q * y for x, y in zip(b, pivot)]
+            pivot = u * pivot + (h - u * a) // b * row
+        pivot = pivot if pivot[col] > 0 else -pivot
+        basis = [b - b[col] // g * pivot for b in basis]
         basis.append(pivot)
-        q = [x // g for x in values]  # every row less its multiple of the pivot: zero up to col
-        cols[col:] = [_minus(c, q, y) for c, y in zip(cols[col:], pivot[col:])]
-    return tuple(tuple(b) for b in basis)
+        rows = rows - np.multiply.outer(values // g, pivot)  # every row less its multiple of the pivot
+    return tuple(tuple(b.tolist()) for b in basis)
 
 
-def lattice_coords(columns: tuple[Coords, ...], vectors: list[Coords]) -> list[Coords]:
-    """The integer m with B m = v for each of the vectors, B in Hermite normal form.
+def _lattice(vectors: np.ndarray, basis: FrequencyBasis) -> tuple[tuple[Coords, ...], np.ndarray]:
+    """(columns of B, m): the Z-span of the vectors (n, d) as B Z^r, and each vector as B m, in Python ints.
 
-    ValueError when a vector is off the lattice B Z^r.
+    On a rational basis whose column values v = B^T alpha are Z-dependent
+    (r >= 2, or r = 1 with v = 0) only the values count: with g the gcd of
+    v, B becomes the one column h = B y, v . y = g, and m the integer
+    m . v / g, so vectors of one value share their m; g = 0 gives r = 0.
     """
-    cols = [list(c) for c in zip(*vectors)]
-    ms = []
-    for b in columns:
+    columns = hermite_basis(vectors)
+    m = np.empty((len(vectors), len(columns)), dtype=object)
+    rest = vectors
+    for i, b in enumerate(columns):  # back substitution: B is in echelon form
         p = next(j for j, x in enumerate(b) if x)
-        ms.append([x // b[p] for x in cols[p]])
-        cols = [_minus(c, ms[-1], y) if y else c for c, y in zip(cols, b)]
-    if any(map(any, cols)):
-        raise ValueError(f"not every vector lies on the lattice spanned by {columns}")
-    return list(zip(*ms)) if ms else [()] * len(vectors)
+        m[:, i] = rest[:, p] // b[p]
+        rest = rest - np.multiply.outer(m[:, i], b)
+    v = [basis.value(b) for b in columns] if basis.d > 1 and basis.is_rational else []
+    if len(v) > 1 or v == [0]:
+        g = frac_gcd(v)
+        if not g:
+            return (), np.empty((len(vectors), 0), dtype=object)
+        steps = [int(x / g) for x in v]
+        # the first Hermite row of the vectors (v_i / g, b_i) is (1, h), as the v_i / g have gcd 1
+        h = hermite_basis([(k, *b) for k, b in zip(steps, columns)])[0][1:]
+        return (h,), m @ np.array(steps, dtype=object)[:, None]
+    return columns, m
 
 
-def lattice_points(c0: Coords, columns: tuple[Coords, ...], ms: list) -> list[Coords]:
-    """c0 + B m for each of the integer vectors ms, exactly."""
-    points = [[c] * len(ms) for c in c0]
-    for b, m in zip(columns, zip(*ms)):
-        points = [_minus(p, m, -y) if y else p for p, y in zip(points, b)]
-    return list(zip(*points))
+def lattice_map(c0, columns, m: np.ndarray) -> np.ndarray:
+    """The points c0 + m @ B, B the rows `columns`, exactly: int64 when every entry fits, else Python ints."""
+    return _compact(np.array(c0, dtype=object) + m.astype(object) @ np.array(columns, dtype=object).reshape(
+        len(columns), len(c0)))
 
 
-def reduce_support(atoms: Mapping[Coords, Scalar]) -> tuple[Coords, tuple[Coords, ...], dict[Coords, Scalar]]:
-    """The support as c0 + B Z^r: the offset c0, the columns of B and the masses keyed by m.
-
-    c0 is the lexicographically least support point and B the Hermite
-    basis of the differences, so every atom sits at c0 + B m with m in
-    Z^r, r <= d the rank, and the least m is 0 on the first axis.  The
-    law over the basis alpha becomes a law on Z^r over B^T alpha: the
-    torus map theta -> B^T theta is onto, so |phi~| has the same infimum
-    on both tori, and a frequency k of the reduced law is B k.  A point
-    mass has r = 0.
-    """
-    c0 = min(atoms)
-    diffs = [tuple(a - b for a, b in zip(c, c0)) for c in atoms]
-    columns = hermite_basis(diffs)
-    return c0, columns, dict(zip(lattice_coords(columns, diffs), atoms.values()))
-
-
-def lattice_masses(law: DiscreteLaw) -> dict[int, Scalar]:
+def lattice_masses(law: DiscreteLaw) -> dict[int, float]:
     """d = 1 masses keyed by the index l of the atom c0 + B l; the benchmark reads spreads here."""
-    _, columns, masses = reduce_support(law.atoms)
-    return {m[0] if columns else 0: w for m, w in masses.items()}
+    _, columns, m, weights = law.reduction()
+    return dict(zip(m[:, 0].tolist() if columns else [0] * len(weights), weights.tolist()))

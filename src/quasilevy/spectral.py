@@ -3,17 +3,18 @@
 A discrete law whose characteristic function f is separated from zero has
 a global distinguished logarithm, and Ln f is an almost periodic function
 whose Fourier coefficients live on the support module.  Numerically this
-becomes one extraction routine for every basis.  The support is first
-written as c0 + B Z^r (measures.reduce_support), so a lattice law, a law
-over an irrational basis and a rank-deficient support are all laws on
-Z^r.  The reduced masses go to their coords mod n on an n^r grid, f is
-lifted to the torus as the inverse DFT of that grid, the phase is
+becomes one extraction routine for every basis.  It reads the law's
+stored reduction c0 + B Z^r (SignedAtomicMeasure.reduction), so a lattice
+law, a law over an irrational basis and a rank-deficient support are all
+laws on Z^r.  The reduced masses go to their coords mod n on an n^r
+grid, f is lifted to the torus as the inverse DFT of that grid, the phase is
 continued axis by axis, the integer winding numbers w of the axis loops
 are peeled off, and the remaining coefficients are read from a DFT.  The
 grid doubles until the phase-jump, imaginary-part, alias and
 reconstruction-residual guards all pass.  The shift is gamma = c0 + B w,
 an exact integer combination of the basis, and a reduced frequency k is
-the frequency B k, with an l1 tail that is tracked explicitly.
+the frequency B k, with an l1 tail that is tracked explicitly.  Both are
+handed to the triplet as arrays, c0 + w @ B and k @ B.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .charfn import SeparationParams, cf_eval, exp_sum, require_separated, support_floats
+from .charfn import SeparationParams, cf_eval, exp_sum, require_separated
 from .errors import InvalidArgument, NonConvergent, NonpositiveTau, StepTooCoarse, ZeroOnPath
 from .measures import (Coords, DiscreteLaw, FrequencyBasis, Scalar, SignedAtomicMeasure, _normalize_coords,
-                       is_exact, lattice_points, reduce_support, total_variation)
+                       is_exact, lattice_map, same_basis, total_variation)
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_STEP_GUARD = 0.9 * math.pi
@@ -93,7 +94,7 @@ def continued_arg(law: DiscreteLaw, ts, zero_tol: float = 1e-10) -> tuple[np.nda
     InvalidArgument past GRID_BUDGET grid points or the float range.
     """
     ts = np.asarray(ts, dtype=float)
-    amp = sum(float(m) * abs(x) for x, m in zip(support_floats(law), law.atoms.values()))
+    amp = sum((law.weights * np.abs(law.support_floats())).tolist())
     step = min(0.05, 0.3 / max(amp, 1e-9))
     for _ in range(16):
         if ts[-1] / step + 1 + len(ts) > GRID_BUDGET:
@@ -127,8 +128,10 @@ class QuasiTriplet:
     gamma_coords are integers, so gamma = sum_j m_j alpha_j lies in the
     support module exactly.  The signed measure levy_measure maps nonzero
     frequency vectors l (u = sum_j l_j alpha_j) to finite float weights;
-    lambdas is its read-only view.  tail_bound is a certified bound on the
-    l1 mass of everything not stored.
+    lambdas is its read-only view.  lambdas may be given as a mapping, as
+    the arrays (frequencies (n, d), weights (n,)), or as a measure on the
+    same basis, which is kept as it is.  tail_bound is a certified bound on
+    the l1 mass of everything not stored.
     """
 
     __slots__ = ("basis", "gamma_coords", "levy_measure", "tail_bound", "diagnostics")
@@ -137,13 +140,16 @@ class QuasiTriplet:
         self,
         basis: FrequencyBasis,
         gamma_coords: Iterable[int],
-        lambdas: Mapping[Coords, float],
+        lambdas: Mapping[Coords, float] | tuple | SignedAtomicMeasure,
         tail_bound: float = 0.0,
         diagnostics: Optional[dict] = None,
     ):
         self.basis = basis
         self.gamma_coords = _normalize_coords(gamma_coords, basis)
-        self.levy_measure = SignedAtomicMeasure(basis, ((c, float(v)) for c, v in lambdas.items()))
+        if isinstance(lambdas, Mapping):
+            lambdas = (list(lambdas), np.array(list(lambdas.values()), dtype=float))
+        self.levy_measure = lambdas if isinstance(lambdas, SignedAtomicMeasure) else SignedAtomicMeasure(basis, lambdas)
+        same_basis(basis, self.levy_measure.basis, "triplet weights")
         if (0,) * basis.d in self.levy_measure.atoms:
             raise ValueError("zero frequency must not be stored; its weight is derived")
         self.tail_bound = float(tail_bound)
@@ -183,8 +189,8 @@ def cf_from_triplet(triplet: QuasiTriplet, t):
     """exp(i*t*gamma + sum lambda_u (e^(i*t*u) - 1)) for scalar or array t."""
     t_arr = np.asarray(t, dtype=float)
     gamma = float(triplet.gamma_value())
-    us = np.array(support_floats(triplet.levy_measure), dtype=float)
-    lams = np.array(list(triplet.lambdas.values()), dtype=float)
+    us = triplet.levy_measure.support_floats()
+    lams = triplet.levy_measure.weights
     expo = 1j * t_arr * gamma
     if us.size:
         expo = expo + exp_sum(t_arr, us, lams, less_one=True)
@@ -289,18 +295,16 @@ def _extract_pass(q: np.ndarray, params: TripletParams):
     return None, (tuple(windings), weights, dropped + alias_mass, residual, max_imag)
 
 
-def _extract(atoms: Mapping[Coords, Scalar], params: TripletParams, input_tv_error: float):
+def _extract(coords: np.ndarray, masses: np.ndarray, params: TripletParams, input_tv_error: float):
     """Double the grid from initial_n until a pass clears every guard.
 
-    atoms maps integer coords to masses.  Returns the windings, the
-    weights as an (n, d) array of integer frequency vectors and their
+    The masses sit at the integer coords (n, d).  Returns the windings,
+    the weights as an (n, d) array of integer frequency vectors and their
     values, the tail bound, and the diagnostics, whose "passes" lists
     every rejected pass as {n, guard, value}.
     """
-    coords = np.array(list(atoms), dtype=int)
-    masses = np.array([float(m) for m in atoms.values()])
     d = coords.shape[1]
-    n = params.initial_n(d, int(np.max(np.ptp(coords, axis=0), initial=0)))
+    n = params.initial_n(d, int((coords.max(axis=0) - coords.min(axis=0)).max()))
     passes = []
     while n <= params.n_max:
         if n ** d > GRID_BUDGET:
@@ -343,9 +347,9 @@ def extract_triplet(
 ) -> QuasiTriplet:
     """Triplet of a separated law, over any basis.
 
-    Separation is certified first.  The support is reduced to c0 + B Z^r,
-    and the extraction runs on the masses keyed by m, so the grid tracks
-    the spread of m and has r axes.  gamma = c0 + B w with w the winding
+    Separation is certified first.  The extraction runs on the law's
+    stored reduction c0 + B Z^r, the masses at m, so the grid tracks the
+    spread of m and has r axes.  gamma = c0 + B w with w the winding
     numbers of the axis loops, and the weight of the reduced frequency k
     is lambda_(B k).  input_tv_error is the total-variation error of an
     upstream support truncation; it enters tail_bound through the
@@ -354,17 +358,17 @@ def extract_triplet(
     if params is None:
         params = TripletParams()
     cert = require_separated(law, params.separation)
-    c0, columns, masses = reduce_support(law.atoms)
+    c0, columns, m, masses = law.reduction()
     if columns:
-        windings, (keys, values), tail, diagnostics = _extract(masses, params, input_tv_error)
+        windings, (keys, values), tail, diagnostics = _extract(m, masses, params, input_tv_error)
     else:  # a point mass: gamma = c0 and no weights, with no grid to lay
         windings, keys, values = (), np.zeros((0, 0), int), np.zeros(0)
         tail = _truncation_tail(input_tv_error, 0.0)
         diagnostics = {"grid_n": 1, "residual": 0.0, "max_imag": 0.0, "passes": []}
     return QuasiTriplet(
         law.basis,
-        lattice_points(c0, columns, [windings])[0],
-        dict(zip(lattice_points((0,) * law.basis.d, columns, keys.tolist()), values.tolist())),
+        lattice_map(c0, columns, np.array([windings], dtype=int))[0],
+        (lattice_map((0,) * law.basis.d, columns, keys), values),
         tail_bound=tail,
         diagnostics={**diagnostics, "winding": windings, "certificate": cert, "lattice": (c0, columns)},
     )
@@ -415,7 +419,7 @@ def gamma_tau(triplet: QuasiTriplet, tau: float) -> float:
     if not tau > 0:
         raise NonpositiveTau(f"tau must be positive, got {tau}")
     total = float(triplet.gamma_value())
-    for u, lam in zip(support_floats(triplet.levy_measure), triplet.lambdas.values()):
+    for u, lam in zip(triplet.levy_measure.support_floats().tolist(), triplet.lambdas.values()):
         total += lam * math.sin(tau * u) / tau
     return total
 
@@ -447,7 +451,7 @@ class SpectralFunction:
 
 
 def levy_spectral_function(triplet: QuasiTriplet) -> SpectralFunction:
-    return SpectralFunction(zip(support_floats(triplet.levy_measure), triplet.lambdas.values()))
+    return SpectralFunction(zip(triplet.levy_measure.support_floats().tolist(), triplet.lambdas.values()))
 
 
 # --- support truncation helper ----------------------------------------------------

@@ -146,3 +146,71 @@ def cell_bounds(columns, radii, lip_r, quad, margin: float) -> tuple[list, list]
 def law_values_masses(law: DiscreteLaw):
     pts = law.support_points()
     return [float(p.value) for p in pts], [float(law.atoms[p.coords]) for p in pts]
+
+
+# -- the list-based support reduction c0 + B Z^r, kept as the carrier's reference ----------
+
+
+def _minus(column: list, ms: list, b: int) -> list:
+    """column - b ms, elementwise."""
+    return [x - b * m for x, m in zip(column, ms)]
+
+
+def hermite_basis(vectors) -> tuple:
+    """Hermite normal form basis of the Z-span of integer vectors, column by column in Python ints.
+
+    Row i is zero left of its pivot p_i, the pivots increase and are
+    positive, and every entry above a pivot lies in [0, pivot).
+    """
+    cols = [list(c) for c in zip(*vectors)]
+    basis: list[list[int]] = []
+    for col, values in enumerate(cols):
+        g = math.gcd(*values)
+        if not g:
+            continue
+        i = next(i for i, x in enumerate(values) if x)
+        pivot = [c[i] for c in cols]
+        while abs(pivot[col]) != g:
+            i = next(i for i, x in enumerate(values) if x % pivot[col])
+            row = [c[i] for c in cols]
+            a, b = pivot[col], row[col]
+            h = math.gcd(a, b)
+            u = pow(a // h, -1, abs(b) // h)
+            pivot = [u * x + (h - u * a) // b * y for x, y in zip(pivot, row)]
+        pivot = [x if pivot[col] > 0 else -x for x in pivot]
+        for b in basis:
+            q = b[col] // g
+            b[:] = [x - q * y for x, y in zip(b, pivot)]
+        basis.append(pivot)
+        q = [x // g for x in values]
+        cols[col:] = [_minus(c, q, y) for c, y in zip(cols[col:], pivot[col:])]
+    return tuple(tuple(b) for b in basis)
+
+
+def lattice_coords(columns: tuple, vectors: list) -> list:
+    """The integer m with B m = v for each vector, B in Hermite normal form; ValueError off the lattice."""
+    cols = [list(c) for c in zip(*vectors)]
+    ms = []
+    for b in columns:
+        p = next(j for j, x in enumerate(b) if x)
+        ms.append([x // b[p] for x in cols[p]])
+        cols = [_minus(c, ms[-1], y) if y else c for c, y in zip(cols, b)]
+    if any(map(any, cols)):
+        raise ValueError(f"not every vector lies on the lattice spanned by {columns}")
+    return list(zip(*ms)) if ms else [()] * len(vectors)
+
+
+def lattice_points(c0: tuple, columns: tuple, ms: list) -> list:
+    """c0 + B m for each of the integer vectors ms, exactly."""
+    points = [[c] * len(ms) for c in c0]
+    for b, m in zip(columns, zip(*ms)):
+        points = [_minus(p, m, -y) if y else p for p, y in zip(points, b)]
+    return list(zip(*points))
+
+
+def reduce_support(atoms: dict) -> tuple:
+    """(c0, columns of B, masses keyed by m): c0 the least support point, B the Hermite basis of the differences."""
+    c0 = min(atoms)
+    diffs = [tuple(a - b for a, b in zip(c, c0)) for c in atoms]
+    columns = hermite_basis(diffs)
+    return c0, columns, dict(zip(lattice_coords(columns, diffs), atoms.values()))

@@ -11,6 +11,8 @@ from quasilevy import (
     FrequencyBasis,
     NegativeMassBeyondTolerance,
     QuasiTriplet,
+    SignedAtomicMeasure,
+    certify_separation,
     compound_exp,
     conv_power,
     convolve,
@@ -307,6 +309,27 @@ class TestConvPower:
                 keys = set(got) | set(want)
                 err = sum(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys)
                 assert err <= 1e-9
+
+
+class TestSharedReduction:
+    def test_a_round_trip_reduces_two_supports(self, monkeypatch):
+        # the law's support and its frequencies': the certificate and the extraction share the
+        # first, the reconstruction and the half power (a scaled copy of the weights) the second
+        reduced = []
+        original = SignedAtomicMeasure.reduction
+
+        def spy(measure):
+            if measure._reduction is None:
+                reduced.append(measure)
+            return original(measure)
+
+        monkeypatch.setattr(SignedAtomicMeasure, "reduction", spy)
+        law = DiscreteLaw.from_lattice({0: 0.6, 1: 0.25, 3: 0.15})
+        certify_separation(law)
+        trip = triplet_lattice(law)
+        reconstruct_law(trip)
+        conv_power(trip, Fraction(1, 2))
+        assert [id(m) for m in reduced] == [id(law), id(trip.levy_measure)]
 
 
 class TestInfinitelyDivisible:

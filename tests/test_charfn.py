@@ -12,7 +12,6 @@ from quasilevy import (
     certify_separation,
     cf_eval,
     dominant_mass_bound,
-    reduce_support,
     torus_lift,
 )
 from quasilevy import charfn
@@ -172,7 +171,7 @@ class TestCertifySeparation:
             law = random_lattice_law(rng, max_width=8, rational_fraction=0.5)
             cert = certify_separation(law, SeparationParams(target_gap=0.9999, max_depth=60))
             assert cert.verdict == "certified"
-            _, columns, _ = reduce_support(law.atoms)
+            columns = law.reduction()[1]
             period = 2 * math.pi / float(law.basis.value(columns[0]))
             vals, masses = law_values_masses(law)
             pmin = dense_min_abs_cf(vals, masses, period, 4_000_000)
@@ -276,14 +275,25 @@ class TestCertifySeparation:
         cert = certify_separation(DiscreteLaw.from_pairs(B2, [((2, -1), 1.0)]))
         assert (cert.verdict, cert.mu, cert.search_log["rank"]) == ("certified", 1.0, 0)
 
+    def test_rational_basis_certifies_on_the_exact_values(self):
+        # (2, -1) over (1, 2) is the point 0: a point mass, not the Bernoulli law a coords lift sees
+        point = DiscreteLaw(FrequencyBasis((1, 2)), {(0, 0): 0.5, (2, -1): 0.5})
+        cert = certify_separation(point)
+        assert (cert.verdict, cert.mu, cert.search_log["rank"]) == ("certified", 1.0, 0)
+        # the f of {0: .5, 1: .3, 2: .2}, certified as that law is, not refuted on the 2-torus
+        law = DiscreteLaw(FrequencyBasis((1, 2)), {(0, 0): 0.5, (1, 0): 0.3, (0, 1): 0.2})
+        cert, flat = certify_separation(law), certify_separation(DiscreteLaw.from_lattice({0: 0.5, 1: 0.3, 2: 0.2}))
+        assert cert.verdict == "certified" and cert.search_log["rank"] == 1
+        assert cert.mu == flat.mu and 0.2 <= cert.mu <= 0.24
+
     def test_dependent_basis_certifies_on_the_reduced_coords(self):
-        # B^T alpha = (2, 2) repeats, so the reduced law has no FrequencyBasis of its own
+        # B^T alpha = (2, 2) repeats: on the exact values the law is {0: 0.7, 2: 0.3}, of rank 1
         basis = FrequencyBasis((1, 2), declared_independent=False)
         law = DiscreteLaw.from_pairs(basis, [((0, 0), 0.7), ((2, 0), 0.15), ((0, 1), 0.15)])
         cert = certify_separation(law)
         assert cert.verdict == "certified"
         assert cert.independence_assumed is False
-        assert cert.search_log["rank"] == 2
+        assert cert.search_log["rank"] == 1
         axis = 2 * math.pi * np.arange(256) / 256
         phi = torus_lift(law)
         assert min(abs(phi((a, b))) for a in axis[::4] for b in axis[::4]) >= cert.mu

@@ -258,6 +258,14 @@ class TestCliCommands:
         row = lines[1].split(",")
         assert float(row[3]) <= 1.0 + 1e-12
 
+    def test_check_s_on_a_rational_point_mass(self, tmp_path, capsys):
+        # (2, -1) over (1, 2) is the point 0, so the law is the point mass there
+        point = write(tmp_path, "point.json", {"basis": [1, 2], "atoms": [
+            {"coords": [0, 0], "mass": 0.5}, {"coords": [2, -1], "mass": 0.5}]})
+        assert main(["check-s", point]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["mu"], doc["search_log"]["rank"]) == ("certified", 1.0, 0)
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

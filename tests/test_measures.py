@@ -15,10 +15,9 @@ from quasilevy import (
     SignedAtomicMeasure,
     convolve,
     module_generator,
-    reduce_support,
     total_variation,
 )
-from quasilevy.measures import lattice_masses, lattice_points
+from quasilevy.measures import lattice_map, lattice_masses
 
 B1 = FrequencyBasis((1,))
 
@@ -206,17 +205,23 @@ class TestModuleGenerator:
             module_generator(law)
 
 
+def reduced(measure) -> tuple:
+    """The stored reduction as (c0, columns of B, weights keyed by m)."""
+    c0, columns, m, weights = measure.reduction()
+    return c0, columns, dict(zip(map(tuple, m.tolist()), weights.tolist()))
+
+
 class TestLatticeForm:
-    """The support written as c0 + B Z^r by reduce_support."""
+    """The support written as c0 + B Z^r by the carrier's stored reduction."""
 
     def test_unit_lattice(self):
         law = law_on_z({0: 0.5, 1: 0.5})
-        assert reduce_support(law.atoms) == ((0,), ((1,),), {(0,): 0.5, (1,): 0.5})
+        assert reduced(law) == ((0,), ((1,),), {(0,): 0.5, (1,): 0.5})
         assert lattice_masses(law) == {0: 0.5, 1: 0.5}
 
     def test_difference_gcd(self):
         law = DiscreteLaw.from_values([(Fraction(1, 2), 0.5), (Fraction(7, 6), 0.5)])
-        c0, columns, masses = reduce_support(law.atoms)
+        c0, columns, masses = reduced(law)
         assert law.basis.value(c0) == Fraction(1, 2)
         assert law.basis.value(columns[0]) == Fraction(2, 3)
         assert sorted(masses) == [(0,), (1,)]
@@ -225,20 +230,41 @@ class TestLatticeForm:
         basis = FrequencyBasis((1, math.sqrt(2)))
         # two atoms span a rank-1 lattice
         law = DiscreteLaw.from_pairs(basis, [((3, 1), 0.62), ((-2, -3), 0.38)])
-        assert reduce_support(law.atoms) == ((-2, -3), ((5, 4),), {(0,): 0.38, (1,): 0.62})
+        assert reduced(law) == ((-2, -3), ((5, 4),), {(0,): 0.38, (1,): 0.62})
         # a rank-2 sublattice of index 2: (1, 1) and (1, -1) span {a + b even}
         law = DiscreteLaw.from_pairs(basis, [((0, 0), 0.5), ((1, 1), 0.25), ((1, -1), 0.25)])
-        c0, columns, masses = reduce_support(law.atoms)
+        c0, columns, m, weights = law.reduction()
         assert c0 == (0, 0) and columns == ((1, 1), (0, 2))
-        assert dict(zip(lattice_points(c0, columns, list(masses)), masses.values())) == dict(law.atoms)
+        assert dict(zip(map(tuple, lattice_map(c0, columns, m).tolist()), weights.tolist())) == dict(law.atoms)
 
     def test_irrational_d1_is_fine(self):
         basis = FrequencyBasis((math.sqrt(2),))
         law = DiscreteLaw.from_pairs(basis, [((0,), 0.5), ((2,), 0.5)])
-        assert reduce_support(law.atoms)[1] == ((2,),)
+        assert law.reduction()[1] == ((2,),)
 
     def test_lattice_consistency_checked(self):
         law = DiscreteLaw.from_values([(0, 0.25), (2, 0.25), (5, 0.5)])
-        _, columns, masses = reduce_support(law.atoms)
+        _, columns, masses = reduced(law)
         assert law.basis.value(columns[0]) == 1  # gcd(2, 5)
         assert sorted(masses) == [(0,), (2,), (5,)]
+
+    def test_reduced_once_and_kept(self):
+        law = law_on_z({0: 0.25, 3: 0.75})
+        assert law.reduction() is law.reduction()
+        with pytest.raises(ValueError):
+            law.reduction()[2][0, 0] = 5  # the cached arrays are read-only
+
+    def test_rational_basis_reduces_on_values(self):
+        # on the basis (1, 2) the coords (2, -1) name the point 0: one atom of mass 1, rank 0
+        point = DiscreteLaw(FrequencyBasis((1, 2)), {(0, 0): 0.5, (2, -1): 0.5})
+        assert reduced(point) == ((0, 0), (), {(): 1.0})
+        # values 0, 1, 2 on one column h of value 1, whatever coords name them
+        law = DiscreteLaw(FrequencyBasis((1, 2)), {(0, 0): 0.5, (1, 0): 0.3, (0, 1): 0.2})
+        c0, columns, masses = reduced(law)
+        assert c0 == (0, 0) and len(columns) == 1 and law.basis.value(columns[0]) == 1
+        assert masses == {(0,): 0.5, (1,): 0.3, (2,): 0.2}
+        # atoms of one value add their masses; the float and irrational bases keep the coords
+        law = DiscreteLaw(FrequencyBasis((Fraction(1, 2), 1)), {(0, 0): 0.5, (2, 0): 0.25, (0, 1): 0.25})
+        assert reduced(law)[2] == {(0,): 0.5, (1,): 0.5}
+        law = DiscreteLaw(FrequencyBasis((0.5, 1.0)), {(0, 0): 0.5, (2, 0): 0.25, (0, 1): 0.25})
+        assert len(reduced(law)[2]) == 3

@@ -26,9 +26,10 @@ from quasilevy import (  # noqa: E402
     certify_separation,
     extract_triplet,
     jsonio,
-    reduce_support,
 )
-from quasilevy.measures import hermite_basis, lattice_points  # noqa: E402
+from quasilevy.measures import hermite_basis, lattice_map  # noqa: E402
+
+import oracles  # noqa: E402
 
 # The law invariants keep their own error classes (and CLI payload names);
 # everything else that is wrong with a document is a ParseError.
@@ -162,19 +163,36 @@ def integer_supports(draw):
     return {p: Fraction(1, len(points)) for p in sorted(points)}
 
 
+def carrier(atoms: dict) -> SignedAtomicMeasure:
+    """The atoms over (1, sqrt 2, sqrt 3) cut to their dimension: no rational relation merges them."""
+    d = len(next(iter(atoms)))
+    return SignedAtomicMeasure(FrequencyBasis((1, math.sqrt(2), math.sqrt(3))[:d]), atoms)
+
+
 @settings(max_examples=300, deadline=None)
 @given(integer_supports())
 def test_reduction_reproduces_every_atom(atoms):
-    c0, columns, masses = reduce_support(atoms)
+    c0, columns, m, weights = carrier(atoms).reduction()
     assert c0 == min(atoms)
-    # c0 + B m gives back every atom exactly, with its mass
-    assert dict(zip(lattice_points(c0, columns, list(masses)), masses.values())) == atoms
+    # c0 + B m gives back every atom exactly, with its mass as a float
+    points = map(tuple, lattice_map(c0, columns, m).tolist())
+    assert dict(zip(points, weights.tolist())) == {k: float(w) for k, w in atoms.items()}
     # B has full column rank r, the rank of the differences
     diffs = np.array([[a - b for a, b in zip(c, c0)] for c in atoms], dtype=float)
     assert len(columns) == np.linalg.matrix_rank(diffs)
     # and spans no more than the differences do: the m themselves span all of Z^r
     identity = tuple(tuple(int(i == j) for j in range(len(columns))) for i in range(len(columns)))
-    assert hermite_basis(masses) == identity
+    assert hermite_basis(m.tolist()) == identity
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_supports())
+def test_reduction_matches_the_list_reference(atoms):
+    c0, columns, m, weights = carrier(atoms).reduction()
+    ref_c0, ref_columns, ref_masses = oracles.reduce_support(atoms)
+    assert (c0, columns) == (ref_c0, ref_columns)
+    assert list(zip(map(tuple, m.tolist()), weights.tolist())) == [(k, float(w)) for k, w in ref_masses.items()]
+    assert hermite_basis(atoms) == oracles.hermite_basis(atoms)
 
 
 def lift(law: DiscreteLaw) -> DiscreteLaw:

@@ -210,6 +210,25 @@ class TestTripletMultibasis:
             t_lat.frequency_value(k): v for k, v in t_lat.lambdas.items()}
         assert t_mb.diagnostics["lattice"] == ((2 * t_lat.diagnostics["lattice"][0][0],), ((8,),))
 
+    def test_rational_basis_gives_the_weights_of_its_values(self):
+        law = DiscreteLaw(FrequencyBasis((1, 2)), {(0, 0): 0.5, (1, 0): 0.3, (0, 1): 0.2})
+        trip, flat = triplet_multibasis(law), triplet_lattice(DiscreteLaw.from_lattice({0: 0.5, 1: 0.3, 2: 0.2}))
+        values = [trip.frequency_value(k) for k in trip.lambdas]
+        assert len(set(values)) == len(values)  # one key per real frequency
+        assert dict(zip(values, trip.lambdas.values())) == {
+            flat.frequency_value(k): v for k, v in flat.lambdas.items()}
+        assert trip.gamma_value() == flat.gamma_value()
+
+    def test_coords_beyond_int64_stay_exact(self):
+        from quasilevy import certify_separation, reconstruct_law
+
+        law = DiscreteLaw.from_lattice({10**20: 0.6, 10**20 + 1: 0.4})
+        assert certify_separation(law).verdict == "certified"
+        trip = triplet_lattice(law)
+        assert trip.gamma_coords == (10**20,) and all(type(c) is int for c in trip.gamma_coords)
+        rec, report = reconstruct_law(trip)
+        assert tv_distance(rec, law) <= report.error_bound
+
     def test_irrational_basis_roundtrip(self):
         from quasilevy import reconstruct_law
 
