@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -95,11 +96,27 @@ def torus_lift(law: DiscreteLaw) -> TorusFunction:
 
 
 def dominant_mass_bound(law: DiscreteLaw) -> Optional[float]:
-    """Lower bound 2*p_max - 1 for inf|f| when one atom carries mass > 1/2."""
-    p = law.max_mass()
-    if p > 0.5:
-        return 2.0 * p - 1.0
-    return None
+    """mu_0 = p* - (the sum of the other masses), rounded down, a lower bound of inf |f|; None unless positive.
+
+    For every t, |f(t)| >= p* - sum_{k != *} p_k by the triangle
+    inequality, p* the heaviest atom.  The masses of a law need not sum to
+    exactly 1, so this is not 2 p* - 1.  With float masses the sum of the
+    others (math.fsum, correctly rounded) is raised one ulp and the
+    difference lowered one ulp, so each lies on the safe side of its exact
+    value; exact masses give the bound exactly, rounded down once.  O(K),
+    no search.
+    """
+    masses = list(law.atoms.values())
+    top = max(masses)
+    if all(isinstance(w, float) for w in masses):
+        rest = math.nextafter(math.fsum([*masses, -top]), math.inf)
+        mu = math.nextafter(top - rest, -math.inf)
+    else:
+        exact = 2 * Fraction(top) - sum(map(Fraction, masses))
+        mu = float(exact)
+        if Fraction(mu) > exact:
+            mu = math.nextafter(mu, -math.inf)
+    return mu if mu > 0 else None
 
 
 @dataclass
@@ -125,12 +142,17 @@ class SeparationCertificate:
     """Outcome of the condition-(S) check.
 
     verdict is one of:
-      "certified":  inf over the torus (hence over all real t) >= mu > 0;
-                    every leaf cell of the search, centre c and half-widths
-                    r, satisfies max(|phi~(c)| - L.r, |phi~(c)| -
-                    sum_j |Re(conj(u) d_j phi~(c))| r_j - 1/2 sum_k p_k
-                    (|c_k|.r)^2) - rounding_margin >= mu, u the phase of
-                    phi~(c).  search_log["slack"] is best_inf_estimate - mu.
+      "certified":  inf over the torus (hence over all real t) >= mu > 0.
+                    search_log["bound"] names the proof: "dominant", mu is
+                    the one-atom floor p* - (the other masses), rounded
+                    down (dominant_mass_bound); "core", mu is mu_S -
+                    mass(rest), rounded down, mu_S certified by the search
+                    on a heavy core S; "search", every leaf cell of the
+                    search, centre c and half-widths r, satisfies
+                    max(|phi~(c)| - L.r, |phi~(c)| - sum_j |Re(conj(u)
+                    d_j phi~(c))| r_j - 1/2 sum_k p_k (|c_k|.r)^2) -
+                    rounding_margin >= mu, u the phase of phi~(c).
+                    search_log["slack"] is best_inf_estimate - mu.
       "zero_found": a torus point zero_theta with |phi~| <= zero_tol was
                     exhibited.  When the support spans a rank-1 lattice
                     c0 + B Z (as every d = 1 law) and B^T alpha != 0, it is
@@ -152,9 +174,11 @@ class SeparationCertificate:
     frontier: each pops up to max(1, TERMS_BUDGET // (2K)) open cells, K the
     number of atoms, and evaluates all their children in one pass.  cells
     counts the root sample, the frontier cells and every cell popped after
-    them, and never passes max_cells.  A certified mu is the least bound of
-    the search's leaves: the popped bound that ended it, or the floor of the
-    frontier cells closed at once, if lower.
+    them, and never passes max_cells.  A certified mu of the search is the
+    least bound of its leaves: the popped bound that ended it, or the floor
+    of the frontier cells closed at once, if lower.  bound is "dominant",
+    "core" or "search" as above; a verdict other than certified has
+    "search".
     """
 
     verdict: str
@@ -239,7 +263,7 @@ def _frontier_bounds(values: np.ndarray, radii: np.ndarray, lip_r, quad, margin:
 
 
 def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None) -> SeparationCertificate:
-    """Branch-and-bound proof or refutation of |f(t)| >= mu > 0 on the torus.
+    """Proof by a sound floor or by branch and bound, or refutation, of |f(t)| >= mu > 0 on the torus.
 
     The search runs on the law's stored reduction c0 + B Z^r
     (SignedAtomicMeasure.reduction): with P the lift of the masses keyed
@@ -261,6 +285,15 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     term depend on the depth alone and are tabulated, and a cell is stored
     as its integer index m with centre (2m + 1) r.
 
+    Beside the cells there is the one-atom floor: for any core S of atoms,
+    |f(t)| >= |f_S(t)| - mass(rest) for every t, and with S the heaviest
+    atom that is mu_0 = dominant_mass_bound(law), O(K) and rounded down.  Whenever
+    mu_0 reaches target_gap times the best sampled modulus, the law is
+    certified with mu = mu_0 (search_log["bound"] = "dominant"); this is
+    tested after the root sample, after the frontier and after each round's
+    samples, before the zero test, as a proof outranks a sample at most
+    zero_tol.  Most laws with an atom above half the mass end at the root.
+
     The root centre (pi, ..., pi) is sampled first, and a zero there is
     reported at once (the symmetric laws' zeros sit on it).  The search then
     starts from the frontier: every cell of the first depth D at which each
@@ -274,6 +307,18 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     that sample are closed; the least of their bounds is kept as a floor,
     and the others go to a heap.
 
+    Heavy core.  When TERMS_BUDGET cut a frontier short of the fine radius,
+    mu_0 did not close the gap and a frontier cell stays open, S becomes the heaviest atoms whose own
+    frontier reaches their fine radius within the budget (at least two).
+    The same search runs on their lift alone, a cell closing once its bound
+    reaches target_gap times the law's best sample plus mass(rest), rounded
+    up, and giving up when a sample of f_S falls to that level.  It gets the
+    cells max_cells leaves.  The step is kept only if mu = mu_S - mass(rest),
+    rounded down, reaches target_gap times the best sample
+    (search_log["bound"] = "core"; cells, rounds and max_depth then add the
+    core's).  Otherwise it is dropped, its cells uncounted, and the search
+    below runs as it would have.
+
     From there the search runs in rounds.  A round pops cells from the head
     of the heap, smallest bound first, while the head is open (its bound
     below target_gap times the best sampled modulus, or not positive), up
@@ -286,14 +331,14 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     search stops when the first pop of a round is closed: every open leaf
     is then in the heap, so the smallest outstanding bound reaches
     target_gap times the best sampled modulus (certified, mu the least of
-    that bound and the floor).  It also stops when a sample drops to
-    zero_tol (zero found), or when a pop reaches max_depth or is the
-    max_cells-th cell (undecided); the children of the cells that round
-    already popped are evaluated first, so a zero among them is still
-    reported.  A split that would pass 2^62 cells along an axis counts as
-    reaching max_depth: the cell indices are int64, and 2m + 1 must fit.
-    The cells counted are the root, the frontier and each cell popped after
-    it.
+    that bound and the floor, search_log["bound"] = "search").  It also
+    stops when a sample drops to zero_tol (zero found), or when a pop
+    reaches max_depth or is the max_cells-th cell (undecided); the children
+    of the cells that round already popped are evaluated first, so a zero
+    among them is still reported.  A split that would pass 2^62 cells along
+    an axis counts as reaching max_depth: the cell indices are int64, and
+    2m + 1 must fit.  The cells counted are the root, the frontier and each
+    cell popped after it.
     """
     if params is None:
         params = SeparationParams()
@@ -305,15 +350,52 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             verdict="certified", mu=1.0, best_inf_estimate=1.0,
             independence_assumed=independent,
             search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0,
-                        "frontier": {"depth": 0, "cells": 0}, "rounds": 0},
+                        "frontier": {"depth": 0, "cells": 0}, "rounds": 0, "bound": "dominant"},
         )
-    coords = reduced.astype(float)
+    verdict, mu, best_ub, best_theta, log = _branch_and_bound(reduced.astype(float), masses, params,
+                                                              dominant_mass_bound(law))
+    log = dict(log, rank=rank)
+    if verdict != "zero_found":
+        return SeparationCertificate(verdict=verdict, mu=mu, best_inf_estimate=best_ub, depth=log["max_depth"],
+                                     independence_assumed=independent, search_log=log)
+    # a preimage of the point found, B^T theta = best_theta, nonzero on the pivots of B only:
+    # row i of B^T is zero left of its pivot, so back substitution solves it
+    theta = [0.0] * law.basis.d
+    for b, phi in reversed(list(zip(columns, best_theta))):
+        p = next(j for j, x in enumerate(b) if x)
+        theta[p] = (phi - sum(x * t for x, t in zip(b, theta))) / b[p]
+    beta = float(law.basis.value(columns[0])) if rank == 1 else 0.0  # |f(t)| = |P(t B^T alpha)|
+    return SeparationCertificate(
+        verdict="zero_found",
+        zero_theta=tuple(t % TWO_PI for t in theta),
+        zero_value=best_ub,
+        zero_t=best_theta[0] / beta if beta else None,
+        best_inf_estimate=best_ub,
+        depth=log["max_depth"],
+        torus_infimum_only=(rank >= 2),
+        independence_assumed=independent,
+        search_log=log,
+    )
+
+
+def _branch_and_bound(coords: np.ndarray, masses: np.ndarray, params: SeparationParams,
+                      mu_0: Optional[float] = None, need: Optional[float] = None) -> tuple:
+    """The search of certify_separation on sum_k p_k e^(i <c_k, theta>), coords (K, r) integers as floats.
+
+    Returns (verdict, mu, the best sampled modulus, its centre, search_log
+    without the rank).  mu_0, when given, certifies as soon as it reaches
+    target_gap times the best sample.  need, when given, is the bound that
+    closes a cell in place of target_gap times the best sample, and a sample
+    at or below it ends the search as a zero does: the heavy-core step
+    searches its core so, and tries no core of its own.
+    """
     fine = (math.pi / (4 * (coords.max(axis=0) - coords.min(axis=0) + 1))).tolist()
-    coords -= coords[np.argmax(masses)]  # moving the law leaves |P| alone and shrinks L.r
+    coords = coords - coords[np.argmax(masses)]  # moving the law leaves |P| alone and shrinks L.r
     lip = np.abs(coords).T @ masses
     margin = rounding_margin(coords, masses)
     spans = np.abs(coords)
-    k = len(masses)
+    k, rank = coords.shape
+    stop = params.zero_tol if need is None else max(params.zero_tol, need)
 
     def level(radii: np.ndarray) -> tuple:
         """(split axis, radii, L.r, 1/2 sum_k p_k (|c_k|.r)^2) for the cells of one depth."""
@@ -356,52 +438,36 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     best_ub, best_theta = math.inf, ()
 
     def log(**extra) -> dict:
-        return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin, rank=rank,
+        return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin,
                     frontier=dict(frontier), rounds=rounds, **extra)
 
     def take_best(theta: np.ndarray, moduli: np.ndarray) -> bool:
-        """Keep the least sampled modulus and its centre; True when it is a zero (at most zero_tol)."""
+        """Keep the least sampled modulus and its centre; True when it ends the search (at most zero_tol, or need)."""
         nonlocal best_ub, best_theta
         j = int(moduli.argmin())
         if moduli[j] < best_ub:
             best_ub, best_theta = float(moduli[j]), tuple(theta[:, j].tolist())
-        return best_ub <= params.zero_tol
+        return best_ub <= stop
 
-    def verdict_zero() -> SeparationCertificate:
-        # a preimage of the point found, B^T theta = best_theta, nonzero on the pivots of B only:
-        # row i of B^T is zero left of its pivot, so back substitution solves it
-        theta = [0.0] * law.basis.d
-        for b, phi in reversed(list(zip(columns, best_theta))):
-            p = next(j for j, x in enumerate(b) if x)
-            theta[p] = (phi - sum(x * t for x, t in zip(b, theta))) / b[p]
-        beta = float(law.basis.value(columns[0])) if rank == 1 else 0.0  # |f(t)| = |P(t B^T alpha)|
-        return SeparationCertificate(
-            verdict="zero_found",
-            zero_theta=tuple(t % TWO_PI for t in theta),
-            zero_value=best_ub,
-            zero_t=best_theta[0] / beta if beta else None,
-            best_inf_estimate=best_ub,
-            depth=max_depth_seen,
-            torus_infimum_only=(rank >= 2),
-            independence_assumed=independent,
-            search_log=log(),
-        )
+    def target() -> float:
+        return params.target_gap * best_ub if need is None else need
 
-    def verdict_certified(mu: float) -> SeparationCertificate:
-        return SeparationCertificate(
-            verdict="certified",
-            mu=mu,
-            best_inf_estimate=best_ub,
-            depth=max_depth_seen,
-            independence_assumed=independent,
-            search_log=log(slack=best_ub - mu),
-        )
+    def dominated() -> bool:
+        """True when the floor mu_0 closes the gap; a proof, so it wins over a sample at most zero_tol."""
+        return mu_0 is not None and mu_0 >= params.target_gap * best_ub
+
+    def zero() -> tuple:
+        return "zero_found", None, best_ub, best_theta, log(bound="search")
+
+    def certified(mu: float, bound: str) -> tuple:
+        return "certified", mu, best_ub, best_theta, log(slack=best_ub - mu, bound=bound)
 
     index = np.zeros((1, rank), dtype=np.int64)  # row id: the integer index m of the cell with that id
     theta, bounds, moduli = sample(index, *of_depth(0))
-    if take_best(theta, moduli):
+    hit = take_best(theta, moduli)
+    if dominated() or hit:
         cells_seen = 1
-        return verdict_zero()
+        return certified(mu_0, "dominant") if dominated() else zero()
 
     depth = 0
     while (any(r > f for r, f in zip(levels[depth][1], fine)) and depth < params.max_depth
@@ -416,25 +482,38 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
         cells_seen = 1 + len(index)
         max_depth_seen = depth
         frontier = {"depth": depth, "cells": len(index)}
-        if take_best(theta, moduli):
-            return verdict_zero()
-        open_cells = bounds < params.target_gap * best_ub
+        hit = take_best(theta, moduli)
+        if dominated():
+            return certified(mu_0, "dominant")
+        if hit:
+            return zero()
+        open_cells = bounds < target()
         if not open_cells.all():
             floor = float(bounds[~open_cells].min())
         heap = [(b, i, depth) for b, i in zip(bounds[open_cells].tolist(), np.flatnonzero(open_cells).tolist())]
         heapq.heapify(heap)
         if not heap:  # every frontier cell closed
-            return verdict_certified(floor)
+            return certified(floor, "search")
+        # TERMS_BUDGET cut the frontier short of the fine radius: a heavy core may still close the gap
+        if (need is None and (2 << depth) * k > TERMS_BUDGET and any(r > f for r, f in zip(levels[depth][1], fine))
+                and params.max_cells > cells_seen):
+            found = _core_bound(coords, masses, replace(params, max_cells=params.max_cells - cells_seen), best_ub)
+            if found is not None:
+                mu, core_log = found
+                cells_seen += core_log["cells"]
+                rounds += core_log["rounds"]
+                max_depth_seen = max(max_depth_seen, core_log["max_depth"])
+                return certified(mu, "core")
 
     cap = max(1, TERMS_BUDGET // (2 * k))  # cells split per round: K x 2 cap children fill one terms budget
     size = len(index)
     depth_exhausted = stopped = False
     while heap and not stopped:
-        target = params.target_gap * best_ub
+        close_at = target()
         ids, split, depths = [], [], []  # per child: its parent's id, where it splits in kids.flat, its depth
         while heap and len(ids) < 2 * cap:
             head = heap[0][0]
-            closed = head >= target and head > 0
+            closed = head >= close_at and head > 0
             if closed and ids:
                 break  # the next round pops it, once these children are in the heap
             lb, i, depth = heapq.heappop(heap)
@@ -442,7 +521,7 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             max_depth_seen = max(max_depth_seen, depth)
             if closed:
                 # heap is ordered by bound: every remaining leaf is >= lb, every closed one >= floor
-                return verdict_certified(min(lb, floor))
+                return certified(min(lb, floor), "search")
             axis = levels[depth][0]
             # a split past 2^62 cells along an axis would overflow the int64 centres 2m + 1
             deep = depth >= params.max_depth or levels[depth][1][axis] * 2**61 < math.pi
@@ -468,8 +547,11 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
         depths = np.array(depths)
         rows = table.take(depths, axis=0)
         theta, bounds, moduli = sample(kids, rows[:, :rank].T, rows[:, rank], rows[:, rank + 1])
-        if take_best(theta, moduli):
-            return verdict_zero()
+        hit = take_best(theta, moduli)
+        if dominated():
+            return certified(mu_0, "dominant")
+        if hit:
+            return zero()
         if size + len(kids) > len(index):  # at least doubles, so the copies stay linear in the cells
             index = np.concatenate([index, np.empty((max(len(index), len(kids)), rank), dtype=index.dtype)])
         index[size:size + len(kids)] = kids
@@ -477,13 +559,38 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             heapq.heappush(heap, entry)
         size += len(kids)
 
-    return SeparationCertificate(
-        verdict="undecided",
-        best_inf_estimate=best_ub,
-        depth=max_depth_seen,
-        independence_assumed=independent,
-        search_log=log(depth_exhausted=depth_exhausted),
-    )
+    return "undecided", None, best_ub, best_theta, log(depth_exhausted=depth_exhausted, bound="search")
+
+
+def _core_bound(coords: np.ndarray, masses: np.ndarray, params: SeparationParams,
+                best_ub: float) -> Optional[tuple[float, dict]]:
+    """The heavy-core step: (mu, the core search's log) when it closes the gap, else None.
+
+    S is the heaviest atoms taken while 2^s_j >= 4 (spread_j + 1) cells
+    along each axis j, as many as their fine radius pi / (4 (spread_j + 1))
+    asks, times their number stay within TERMS_BUDGET; at least two.  The
+    search on the lift of S alone closes a cell once its bound reaches
+    target_gap * best_ub + mass(rest), rounded up, and a sample of f_S at
+    that level ends it; as |f_S| <= mass(S), a core no heavier than that
+    level is not searched.  mu = mu_S - mass(rest), rounded down, is kept
+    only if it reaches target_gap * best_ub.
+    """
+    order = np.argsort(-masses, kind="stable")
+    ranked = coords[order]
+    spread = np.maximum.accumulate(ranked, axis=0) - np.minimum.accumulate(ranked, axis=0)
+    cells = np.exp2(np.ceil(np.log2(4 * (spread + 1))).sum(axis=1))
+    n = int(np.count_nonzero(cells * np.arange(1, len(masses) + 1) <= TERMS_BUDGET))  # a prefix: both grow
+    if n < 2:  # the one-atom floor has been tried
+        return None
+    core = np.zeros(len(masses), dtype=bool)
+    core[order[:n]] = True
+    rest = _round_up(math.fsum(masses[~core].tolist()), 2)  # each float mass and their sum round once
+    goal = _round_up(params.target_gap * best_ub + rest, 2)  # so that mu_S - rest, rounded down, still reaches the gap
+    if goal >= math.fsum(masses[core].tolist()):
+        return None
+    verdict, mu_s, _, _, log = _branch_and_bound(coords[core], masses[core], params, need=goal)
+    mu = math.nextafter(mu_s - rest, -math.inf) if verdict == "certified" else -math.inf
+    return (mu, log) if mu >= params.target_gap * best_ub else None
 
 
 def require_separated(law: DiscreteLaw, params: SeparationParams | None = None) -> SeparationCertificate:

@@ -55,10 +55,15 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, Rational)
 
 
-def as_fraction(x: Scalar) -> Fraction:
+def _ratio(x: Scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, in lowest terms, as Python ints."""
     if not is_exact(x):
         raise IrrationalSupport(f"exact rational expected, got {x!r}")
-    return Fraction(x)
+    return int(x.numerator), int(x.denominator)
+
+
+def as_fraction(x: Scalar) -> Fraction:
+    return Fraction(*_ratio(x))
 
 
 def frac_gcd(values: Iterable[Scalar]) -> Fraction:
@@ -67,14 +72,9 @@ def frac_gcd(values: Iterable[Scalar]) -> Fraction:
     gcd over numerators after clearing to a common denominator; gcd of the
     empty set (or of all zeros) is 0.
     """
-    den = 1
-    fracs = [as_fraction(v) for v in values]
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    g = 0
-    for f in fracs:
-        g = math.gcd(g, abs(f.numerator) * (den // f.denominator))
-    return Fraction(g, den)
+    ratios = [_ratio(v) for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return Fraction(math.gcd(*(p * (den // q) for p, q in ratios)), den)
 
 
 def _check_scalar_finite(x: Scalar, what: str) -> None:
@@ -378,16 +378,13 @@ class DiscreteLaw(SignedAtomicMeasure):
 
         The basis is the canonical one-dimensional module generator of the
         values, so all exact lattice arithmetic is available downstream.
+        The values are cleared to one common denominator D, so the
+        generator gcd / D and each coord are found in integer arithmetic.
         """
-        pairs = [(as_fraction(v), m) for v, m in value_mass_pairs]
-        values = [v for v, _ in pairs]
-        c = frac_gcd(values)
-        if c == 0:
-            basis = FrequencyBasis((Fraction(0),))
-            return DiscreteLaw.from_pairs(basis, [((0,), sum(m for _, m in pairs))])
-        basis = FrequencyBasis((c,))
-        atoms = [((int(v / c),), m) for v, m in pairs]
-        return DiscreteLaw.from_pairs(basis, atoms)
+        pairs = list(value_mass_pairs)
+        ratios = [_ratio(v) for v, _ in pairs]
+        den = math.lcm(*(q for _, q in ratios))
+        return DiscreteLaw._on_numerators([p * (den // q) for p, q in ratios], den, [m for _, m in pairs])
 
     @staticmethod
     def from_lattice(masses: Mapping[int, Scalar], offset: Scalar = 0, span: Scalar = 1) -> "DiscreteLaw":
@@ -395,15 +392,30 @@ class DiscreteLaw(SignedAtomicMeasure):
 
         Exact construction; offset and span must be rational (declare a
         FrequencyBasis yourself for irrational surrogates).  The JSON lattice
-        shorthand and the benchmark's d = 1 laws are built here.
+        shorthand and the benchmark's d = 1 laws are built here, in integer
+        arithmetic: offset and span are cleared to one common denominator.
         """
         if not (is_exact(offset) and is_exact(span)):
             raise IrrationalSupport("lattice shorthand requires rational offset and span")
         if span <= 0:
             raise ValueError("span must be positive")
-        return DiscreteLaw.from_values(
-            [(as_fraction(offset) + as_fraction(span) * l, m) for l, m in masses.items()]
-        )
+        (a, q), (b, r) = _ratio(offset), _ratio(span)
+        den = math.lcm(q, r)
+        a, b = a * (den // q), b * (den // r)
+        try:
+            nums = [a + b * operator.index(l) for l in masses]
+        except TypeError:
+            raise ValueError(f"lattice indices must be integers, got {list(masses)!r}") from None
+        return DiscreteLaw._on_numerators(nums, den, list(masses.values()))
+
+    @staticmethod
+    def _on_numerators(nums: list[int], den: int, masses: list) -> "DiscreteLaw":
+        """The law with masses at the values nums / den, over the generator gcd(nums) / den of their module."""
+        g = math.gcd(*nums)
+        if g == 0:
+            return DiscreteLaw.from_pairs(FrequencyBasis((Fraction(0),)), [((0,), sum(masses))])
+        return DiscreteLaw.from_pairs(FrequencyBasis((Fraction(g, den),)),
+                                      [((n // g,), m) for n, m in zip(nums, masses)])
 
 
 # -- operations ---------------------------------------------------------------
@@ -419,15 +431,35 @@ def convolve(m1, m2):
     """Convolution of atomic measures on an identical basis.
 
     Works for any mix of DiscreteLaw/SignedAtomicMeasure inputs; the result
-    is a law only when both inputs are laws.
+    is a law only when both inputs are laws.  The coords of every pair are
+    an outer sum of the coords arrays and the weights an outer product;
+    pairs of one sum are then merged once, adding their products in the
+    order of the pairs, so float weights give the floats of the pairwise
+    loop and exact weights stay exact.  The atoms come in the order in
+    which the pairs first reach them.
     """
     same_basis(m1.basis, m2.basis, "convolution")
-    out: dict[Coords, Scalar] = {}
-    for c1, w1 in m1.atoms.items():
-        for c2, w2 in m2.atoms.items():
-            key = tuple(a + b for a, b in zip(c1, c2))
-            out[key] = out.get(key, 0) + w1 * w2
-    return (type(m1) if type(m1) is type(m2) else SignedAtomicMeasure)(m1.basis, out)
+    c1, c2 = m1.coords, m2.coords
+    if any(c.dtype == object or c.min(initial=0) <= -2**62 or c.max(initial=0) >= 2**62 for c in (c1, c2)):
+        c1, c2 = c1.astype(object), c2.astype(object)  # Python ints, where an int64 sum could wrap
+    coords = (c1[:, None, :] + c2[None, :, :]).reshape(-1, m1.basis.d)
+    w1, w2 = (list(m.atoms.values()) for m in (m1, m2))
+    dtype = float if all(isinstance(w, float) for w in w1 + w2) else object  # exact weights stay Python numbers
+    products = np.multiply.outer(np.array(w1, dtype=dtype), np.array(w2, dtype=dtype)).reshape(-1)
+    # group equal rows: a stable lexicographic sort puts each group's first pair at its head
+    perm = np.lexsort(coords.T[::-1])
+    ranked = coords[perm]
+    head = np.ones(len(perm), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = perm[head]  # each atom's first pair
+    slot = np.empty(len(first), dtype=np.intp)
+    slot[np.argsort(first)] = np.arange(len(first))  # atoms numbered in the order the pairs reach them
+    where = np.empty(len(perm), dtype=np.intp)
+    where[perm] = slot[np.cumsum(head) - 1]
+    weights = np.zeros(len(first), dtype=products.dtype)
+    np.add.at(weights, where, products)  # unbuffered: each sum in the order of its pairs
+    return (type(m1) if type(m1) is type(m2) else SignedAtomicMeasure)(
+        m1.basis, (coords[np.sort(first)], weights))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from quasilevy import DiscreteLaw
+from quasilevy import DiscreteLaw, FrequencyBasis
 
 
 def mercator_lambdas(rho: float, kmax: int) -> dict[int, float]:
@@ -40,6 +40,16 @@ def brute_convolve(a: dict, b: dict) -> dict:
     for ka, wa in a.items():
         for kb, wb in b.items():
             out[ka + kb] = out.get(ka + kb, 0) + wa * wb
+    return out
+
+
+def pairwise_convolve(a: dict, b: dict) -> dict:
+    """The atoms of a * b, keyed by coordinate tuples, by the pairwise double loop in atom order."""
+    out: dict = {}
+    for ka, wa in a.items():
+        for kb, wb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + wa * wb
     return out
 
 
@@ -214,3 +224,28 @@ def reduce_support(atoms: dict) -> tuple:
     diffs = [tuple(a - b for a, b in zip(c, c0)) for c in atoms]
     columns = hermite_basis(diffs)
     return c0, columns, dict(zip(lattice_coords(columns, diffs), atoms.values()))
+
+
+def fraction_gcd(values) -> Fraction:
+    """Generator of the Z-module of rational values by Euclid's algorithm on Fractions."""
+    g = Fraction(0)
+    for v in values:
+        a, b = abs(Fraction(v)), g
+        while b:
+            a, b = b, a % b
+        g = a
+    return g
+
+
+def law_from_values(value_mass_pairs) -> DiscreteLaw:
+    """DiscreteLaw.from_values in Fraction arithmetic: the basis (c,), c the generator, and coords v / c."""
+    pairs = [(Fraction(v), m) for v, m in value_mass_pairs]
+    c = fraction_gcd(v for v, _ in pairs)
+    if c == 0:
+        return DiscreteLaw.from_pairs(FrequencyBasis((Fraction(0),)), [((0,), sum(m for _, m in pairs))])
+    return DiscreteLaw.from_pairs(FrequencyBasis((c,)), [((int(v / c),), m) for v, m in pairs])
+
+
+def law_from_lattice(masses: dict, offset=0, span=1) -> DiscreteLaw:
+    """DiscreteLaw.from_lattice in Fraction arithmetic: the values offset + span * l."""
+    return law_from_values([(Fraction(offset) + Fraction(span) * l, m) for l, m in masses.items()])

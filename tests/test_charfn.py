@@ -47,6 +47,49 @@ def spatial_gap_law(e: float) -> DiscreteLaw:
     )
 
 
+def product_law(basis: FrequencyBasis, *factors: dict) -> DiscreteLaw:
+    """The law of independent d = 1 factors, one per basis element: inf |f| is the product of theirs."""
+    atoms = {(): 1.0}
+    for factor in factors:
+        atoms = {(*c, k): m * p for c, m in atoms.items() for k, p in factor.items()}
+    return DiscreteLaw.from_pairs(basis, list(atoms.items()))
+
+
+# no atom carries half the mass, so the search, not the one-atom floor, decides these
+PLANAR_PRODUCT = product_law(B2, {0: 0.6, 1: 0.4}, {0: 0.6, 1: 0.4})  # inf |f| = 0.2^2
+SPATIAL_PRODUCT = product_law(B3, *[{0: 0.7, 1: 0.3}] * 3)  # inf |f| = 0.4^3
+
+
+def random_planar_product(rng) -> DiscreteLaw:
+    """Product of two random laws on 2 to 4 points of [-3, 3], each with an atom of mass in [0.55, 0.7)."""
+    factors = []
+    for _ in range(2):
+        points = rng.choice(np.arange(-3, 4), size=int(rng.integers(2, 5)), replace=False).tolist()
+        p_star = float(rng.uniform(0.55, 0.7))
+        factors.append(dict(zip(points, [p_star, *(rng.dirichlet(np.ones(len(points) - 1)) * (1 - p_star)).tolist()])))
+    return product_law(B2, *factors)
+
+
+def near_zero_law() -> DiscreteLaw:
+    """{0: 1, 1: r, 2: r^2} / (1 + r + r^2), r = 1 - 1e-9: its zeros lie at radius 1/r, so inf |f| is about 1e-9."""
+    r = 1 - 1e-9
+    total = 1 + r + r * r
+    return DiscreteLaw.from_lattice({0: 1 / total, 1: r / total, 2: r * r / total})
+
+
+def exact_gap(law: DiscreteLaw) -> Fraction:
+    """p* less the other masses, in exact arithmetic: inf |f| of the gap laws, reached at the root centre."""
+    masses = [Fraction(m) for m in law.atoms.values()]
+    return 2 * max(masses) - sum(masses)
+
+
+def assert_floor_certifies(law: DiscreteLaw, infimum, gap: float = 0.9) -> None:
+    """The one-atom floor certifies law at the root, with mu at most its infimum."""
+    cert = certify_separation(law, SeparationParams(target_gap=gap))
+    assert (cert.verdict, cert.search_log["bound"], cert.search_log["cells"]) == ("certified", "dominant", 1)
+    assert 0 < Fraction(cert.mu) <= infimum
+
+
 class TestCfEval:
     def test_point_mass(self):
         law = DiscreteLaw.from_values([(3, 1.0)])
@@ -113,6 +156,14 @@ class TestDominantMassBound:
         law = DiscreteLaw.from_lattice({0: 0.9, 1: 0.05, 2: 0.05})
         assert dominant_mass_bound(law) == pytest.approx(0.8)
 
+    def test_masses_that_miss_one_are_not_taken_as_summing_to_one(self):
+        # p* less the other masses, not 2 p* - 1: here the masses sum to 1 + 5e-13
+        law = DiscreteLaw.from_lattice({0: 0.6 + 5e-13, 1: 0.4})
+        bound = dominant_mass_bound(law)
+        assert Fraction(bound) <= Fraction(0.6 + 5e-13) - Fraction(0.4) < Fraction(2 * (0.6 + 5e-13) - 1)
+        bound = dominant_mass_bound(DiscreteLaw.from_lattice({0: Fraction(3, 5), 1: Fraction(2, 5)}))
+        assert Fraction(bound) <= Fraction(1, 5) < Fraction(math.nextafter(bound, 1))  # exact, rounded down once
+
     def test_bound_below_sampled_modulus(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -158,10 +209,11 @@ class TestCertifySeparation:
             assert sampled >= cert.mu - 1e-9
 
     def test_undecided_when_depth_exhausted(self):
-        law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
-        cert = certify_separation(law, SeparationParams(max_depth=6))
+        cert = certify_separation(near_zero_law(), SeparationParams(max_depth=6))
         assert cert.verdict == "undecided"
         assert cert.best_inf_estimate > 0
+        old = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        assert_floor_certifies(old, exact_gap(old))
 
     def test_lattice_period_minimum_matches_torus_infimum(self):
         # |f| is (2*pi/b)-periodic; its one-period minimum must agree with the
@@ -180,13 +232,16 @@ class TestCertifySeparation:
 
 
     def test_second_order_bound_cell_counts(self):
-        # the first-order Lipschitz bound needed 12,954 and 30,244 cells here
-        for law, gap, infimum, most in [(planar_gap_law(0.03), 0.999, 0.06, 1_000),
-                                        (spatial_gap_law(0.05), 0.99, 0.1, 2_000)]:
+        # the first-order Lipschitz bound alone needed 159,742 cells on the planar law and left the
+        # spatial one undecided after 500,000; with the second-order bound they take 218 and 2,074
+        for law, gap, infimum, most in [(PLANAR_PRODUCT, 0.999, 0.2**2, 1_000),
+                                        (SPATIAL_PRODUCT, 0.99, 0.4**3, 3_000)]:
             cert = certify_separation(law, SeparationParams(target_gap=gap))
             assert cert.verdict == "certified"
             assert cert.search_log["cells"] <= most
             assert gap * infimum <= cert.mu <= infimum
+        for law in (planar_gap_law(0.03), spatial_gap_law(0.05)):
+            assert_floor_certifies(law, exact_gap(law), gap=0.99)
 
     def test_search_log_reports_margin_and_slack(self):
         cert = certify_separation(planar_gap_law(0.05), SeparationParams(target_gap=0.99))
@@ -198,9 +253,10 @@ class TestCertifySeparation:
 
     def test_search_log_reports_rounds(self):
         # each round after the frontier splits every open cell at the head of the heap at once
-        cert = certify_separation(spatial_gap_law(0.05), SeparationParams(target_gap=0.99))
+        cert = certify_separation(SPATIAL_PRODUCT, SeparationParams(target_gap=0.99))
         log = cert.search_log
         assert 1 <= log["rounds"] < log["cells"] - 1 - log["frontier"]["cells"]
+        assert_floor_certifies(spatial_gap_law(0.05), exact_gap(spatial_gap_law(0.05)), gap=0.99)
         assert certify_separation(DiscreteLaw.from_pairs(B2, [((2, -1), 1.0)])).search_log["rounds"] == 0
 
     def test_rounding_margin_covers_float_evaluation(self, monkeypatch):
@@ -215,11 +271,11 @@ class TestCertifySeparation:
             return out
 
         monkeypatch.setattr(charfn, "_evaluate", spy)
-        wide = DiscreteLaw.from_lattice({0: 0.97, 311: 0.02, 724: 0.01})
-        planar = random_planar_law(np.random.default_rng(7), B2, radius=3, max_extra=9)
-        spatial = spatial_gap_law(0.05)
+        wide = DiscreteLaw.from_lattice({0: 0.36, 311: 0.24, 413: 0.24, 724: 0.16})  # (.6 + .4 z^311)(.6 + .4 z^413)
+        planar = random_planar_product(np.random.default_rng(7))
+        spatial = SPATIAL_PRODUCT
         worst = 0.0
-        for law, gap in [(planar_gap_law(0.03), 0.999), (wide, 0.99), (planar, 0.999), (spatial, 0.99)]:
+        for law, gap in [(PLANAR_PRODUCT, 0.999), (wide, 0.99), (planar, 0.999), (spatial, 0.99)]:
             seen.clear()
             cert = certify_separation(law, SeparationParams(target_gap=gap))
             assert cert.verdict == "certified"
@@ -241,6 +297,12 @@ class TestCertifySeparation:
                     assert gap_here <= margin
                     worst = max(worst, gap_here)
         assert worst > 0  # the check sees real rounding, not identical evaluations
+        old = DiscreteLaw.from_lattice({0: 0.97, 311: 0.02, 724: 0.01})  # its root centre samples 0.96, its floor 0.94
+        cert = certify_separation(old, SeparationParams(target_gap=0.99))
+        vals, masses = law_values_masses(old)
+        assert (cert.search_log["bound"], cert.search_log["rounds"]) == ("dominant", 0)
+        assert cert.mu <= dense_min_abs_cf(vals, masses, 2 * math.pi, 400_000)
+        assert_floor_certifies(planar_gap_law(0.03), exact_gap(planar_gap_law(0.03)), gap=0.999)
 
     def test_two_atom_d2_law_certifies_on_its_rank1_lattice(self):
         # {(3, 1), (-2, -3)} is (-2, -3) + (5, 4) {0, 1}: the search runs on one axis, not on
@@ -299,16 +361,21 @@ class TestCertifySeparation:
         assert min(abs(phi((a, b))) for a in axis[::4] for b in axis[::4]) >= cert.mu
 
     def test_frontier_certifies_a_wide_law_in_one_pass(self):
-        law = DiscreteLaw.from_lattice({0: 0.97, 311: 0.02, 724: 0.01})
+        # 0.999 (1 + 0.45 z)^2 / 1.45^2 + 0.001 z^724: no atom carries half the mass, inf |f| >= 0.142
+        a = 0.999 / 1.45**2
+        law = DiscreteLaw.from_lattice({0: a, 1: 0.9 * a, 2: 0.2025 * a, 724: 0.001})
         cert = certify_separation(law, SeparationParams(target_gap=0.9))
         assert cert.verdict == "certified"
         log = cert.search_log
-        # pi/(4 * 725) asks for 4096 cells; 3 atoms x 1024 cells fill the terms budget
+        # pi/(4 * 725) asks for 4096 cells; 4 atoms x 1024 cells fill the terms budget
         assert log["frontier"] == {"depth": 10, "cells": 1024}
-        assert 1024 * 3 <= charfn.TERMS_BUDGET < 2048 * 3
+        assert 1024 * 4 <= charfn.TERMS_BUDGET < 2048 * 4
         assert log["cells"] - 1 - log["frontier"]["cells"] <= 8
         vals, masses = law_values_masses(law)
         assert 0.9 * cert.best_inf_estimate <= cert.mu <= dense_min_abs_cf(vals, masses, 2 * math.pi, 400_000)
+        old = DiscreteLaw.from_lattice({0: 0.97, 311: 0.02, 724: 0.01})
+        vals, masses = law_values_masses(old)
+        assert_floor_certifies(old, Fraction(dense_min_abs_cf(vals, masses, 2 * math.pi, 400_000)))
 
     def test_frontier_bound_is_the_split_bound_bit_for_bit(self, monkeypatch):
         """The array bound, on the frontier and on every later round, gives the floats of the
@@ -332,10 +399,10 @@ class TestCertifySeparation:
         monkeypatch.setattr(charfn, "_evaluate", spy_evaluate)
         monkeypatch.setattr(charfn, "_frontier_bounds", spy_bounds)
         rng = np.random.default_rng(5)
-        laws = [DiscreteLaw.from_lattice({0: 0.55, 3: 0.2, 7: 0.15, 16: 0.1}), planar_gap_law(0.03),
-                random_planar_law(rng, B2, radius=3, max_extra=9), spatial_gap_law(0.05)]
+        laws = [DiscreteLaw.from_lattice({0: 0.55, 3: 0.2, 7: 0.15, 16: 0.1}), PLANAR_PRODUCT,
+                random_planar_product(rng), SPATIAL_PRODUCT]
         budgets = [charfn.TERMS_BUDGET] * len(laws) + [256]
-        laws.append(spatial_gap_law(0.05))  # with 256 terms a round splits at most 32 cells, so rounds mix depths
+        laws.append(SPATIAL_PRODUCT)  # with 256 terms a round splits at most 16 cells, so rounds mix depths
         for law, budget in zip(laws, budgets):
             monkeypatch.setattr(charfn, "TERMS_BUDGET", budget)
             calls.clear()
@@ -357,21 +424,26 @@ class TestCertifySeparation:
                 expected = oracles.cell_bounds(values[:, picks].T.tolist(), radii[:, picks].T.tolist(),
                                                lip_r[picks].tolist(), quad[picks].tolist(), margin)
                 assert (bounds[picks].tolist(), moduli[picks].tolist()) == expected
+        monkeypatch.undo()
+        for old in (planar_gap_law(0.03), spatial_gap_law(0.05)):
+            assert_floor_certifies(old, exact_gap(old), gap=0.99)
 
     def test_frontier_stays_within_max_cells(self):
-        law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        law = near_zero_law()
         full = certify_separation(law, SeparationParams(max_cells=50)).search_log["frontier"]
-        assert full == {"depth": 3, "cells": 8}  # radius pi/8 <= pi/(4 * 2)
+        assert full == {"depth": 4, "cells": 16}  # radius pi/16 <= pi/(4 * 3)
         small = certify_separation(law, SeparationParams(max_cells=5))
         assert small.search_log["frontier"]["depth"] < full["depth"]
         assert small.search_log["cells"] == 5
         by_depth = certify_separation(law, SeparationParams(max_depth=6))
         assert by_depth.search_log["frontier"]["depth"] > 0
         assert by_depth.search_log["depth_exhausted"] is True
+        old = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        assert_floor_certifies(old, exact_gap(old))
+        assert certify_separation(old, SeparationParams(max_cells=5)).search_log["frontier"]["depth"] == 0
 
     def test_search_stops_at_max_cells(self, monkeypatch):
-        law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
-        cert = certify_separation(law, SeparationParams(max_cells=50))
+        cert = certify_separation(near_zero_law(), SeparationParams(max_cells=50))
         assert cert.verdict == "undecided"
         assert cert.search_log["cells"] == 50
         # the spatial law's rounds split many cells each; a max_cells that falls inside the second
@@ -384,7 +456,7 @@ class TestCertifySeparation:
             return evaluate(weights, coords, theta)
 
         monkeypatch.setattr(charfn, "_evaluate", spy)
-        spatial = spatial_gap_law(0.05)
+        spatial = SPATIAL_PRODUCT
         full = certify_separation(spatial, SeparationParams(target_gap=0.99))
         _, frontier, first, second, *_ = columns
         assert full.verdict == "certified" and second >= 4
@@ -393,9 +465,12 @@ class TestCertifySeparation:
         assert cut.verdict == "undecided"
         assert cut.search_log["cells"] == max_cells
         assert cut.search_log["depth_exhausted"] is False
+        old = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        assert_floor_certifies(old, exact_gap(old))
+        assert_floor_certifies(spatial_gap_law(0.05), exact_gap(spatial_gap_law(0.05)), gap=0.99)
 
     def test_depth_exhausted_names_the_budget_that_stopped(self):
-        law = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        law = near_zero_law()
         by_cells = certify_separation(law, SeparationParams(max_cells=10))
         assert by_cells.verdict == "undecided"
         assert by_cells.search_log["max_depth"] < SeparationParams().max_depth
@@ -411,6 +486,35 @@ class TestCertifySeparation:
         assert by_indices.verdict == "undecided"
         assert by_indices.search_log["depth_exhausted"] is True
         assert by_indices.search_log["max_depth"] == 62
+        old = DiscreteLaw.from_lattice({0: 0.5 + 1e-9, 1: 0.5 - 1e-9})
+        for params in (SeparationParams(max_cells=10), SeparationParams(max_depth=6)):
+            cert = certify_separation(old, params)
+            assert (cert.verdict, cert.search_log["bound"]) == ("certified", "dominant")
+            assert Fraction(cert.mu) <= exact_gap(old)
+
+    def test_one_atom_floor_certifies_a_wide_law_at_the_root(self):
+        # |f| >= 0.6 - 0.4 = 0.2, which the root centre samples: the search took 500,000 cells and gave up
+        law = DiscreteLaw.from_lattice({0: 0.6, 1: 0.25, 10**6 + 3: 0.15})
+        cert = certify_separation(law)
+        assert (cert.verdict, cert.search_log["bound"], cert.search_log["cells"]) == ("certified", "dominant", 1)
+        assert cert.search_log["frontier"] == {"depth": 0, "cells": 0}
+        assert 0.9 * cert.best_inf_estimate <= cert.mu <= exact_gap(law)
+
+    def test_heavy_core_certifies_a_wide_law_without_a_dominant_atom(self):
+        # no atom above 1/2; the core {0, 1, 2} has inf |f_S| = 0.1856, so |f| >= 0.1856 - 0.05
+        law = DiscreteLaw.from_lattice({0: 0.45, 1: 0.25, 2: 0.25, 10**6 + 3: 0.05})
+        cert = certify_separation(law)
+        log = cert.search_log
+        assert (cert.verdict, log["bound"]) == ("certified", "core")
+        assert log["frontier"] == {"depth": 10, "cells": 1024}  # 4 atoms fill the terms budget at 1024 cells
+        assert log["cells"] <= 1 + 1024 + 100  # the core's search is a small one
+        assert 0.9 * cert.best_inf_estimate <= cert.mu <= cert.best_inf_estimate
+        core = DiscreteLaw.from_lattice({0: 0.45 / 0.95, 1: 0.25 / 0.95, 2: 0.25 / 0.95})
+        vals, masses = law_values_masses(core)
+        assert cert.mu <= 0.95 * dense_min_abs_cf(vals, masses, 2 * math.pi, 100_000) - 0.05
+        # a core that cannot close the gap is dropped: the product law's heaviest atoms weigh less than the rest
+        wide = DiscreteLaw.from_lattice({0: 0.36, 311: 0.24, 413: 0.24, 724: 0.16})
+        assert certify_separation(wide, SeparationParams(target_gap=0.99)).search_log["bound"] == "search"
 
     @pytest.mark.parametrize("bad", [
         {"target_gap": 0.0}, {"target_gap": 2.0}, {"target_gap": math.nan}, {"max_depth": -1},

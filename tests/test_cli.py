@@ -163,14 +163,21 @@ class TestCliCommands:
         assert cert["search_log"]["cells"] >= 1 + frontier["cells"]
 
     def test_check_s_undecided_exit_2(self, tmp_path, capsys):
-        doc = {"basis": [1], "atoms": [
-            {"coords": [0], "mass": 0.5000000001},
-            {"coords": [1], "mass": 0.4999999999},
-        ]}
+        # {0: 1, 1: r, 2: r^2} / (1 + r + r^2), r = 1 - 1e-9: no atom carries half the mass, inf |f| is about 1e-9
+        r = 1 - 1e-9
+        doc = {"basis": [1], "atoms": [{"coords": [k], "mass": r**k / (1 + r + r * r)} for k in range(3)]}
         law_file = write(tmp_path, "tight.json", doc)
         assert main(["check-s", law_file, "--max-depth", "6"]) == 2
         cert = json.loads(capsys.readouterr().out)
         assert cert["verdict"] == "undecided"
+        # the two-atom law this test used has an atom above 1/2: the one-atom floor certifies it at the root
+        old = write(tmp_path, "old.json", {"basis": [1], "atoms": [
+            {"coords": [0], "mass": 0.5000000001}, {"coords": [1], "mass": 0.4999999999}]})
+        assert main(["check-s", old, "--max-depth", "6"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        log = cert["search_log"]
+        assert (cert["verdict"], log["bound"], log["cells"]) == ("certified", "dominant", 1)
+        assert Fraction(cert["mu"]) <= Fraction(0.5000000001) - Fraction(0.4999999999)
 
     @pytest.mark.parametrize("case", ["t_max_beyond_budget", "samples_beyond_budget", "support_beyond_float_range"])
     def test_check_s_skips_curves_it_cannot_draw(self, tmp_path, capsys, case):

@@ -18,6 +18,7 @@ from quasilevy import (
     total_variation,
 )
 from quasilevy.measures import lattice_map, lattice_masses
+import oracles
 
 B1 = FrequencyBasis((1,))
 
@@ -153,6 +154,26 @@ class TestConvolve:
         b = law_on_z({0: 0.5, 1: 0.5})
         sq = convolve(b, b)
         assert dict(sq.atoms) == {(0,): 0.25, (1,): 0.5, (2,): 0.25}
+
+    def test_matches_the_pairwise_loop_bit_for_bit(self):
+        # the same floats, the same exact Fractions, in the order the pairs first reach each atom
+        rng = np.random.default_rng(3)
+        b2 = FrequencyBasis((1, math.sqrt(2)))
+        for exact in (False, True):
+            for _ in range(20):
+                measures = []
+                for _ in range(2):
+                    keys = list({tuple(rng.integers(-4, 5, 2).tolist()) for _ in range(12)})
+                    weights = ([Fraction(int(n), int(d)) for n, d in zip(rng.integers(-8, 9, len(keys)),
+                                                                          rng.integers(1, 7, len(keys)))]
+                               if exact else rng.normal(size=len(keys)).tolist())
+                    measures.append(SignedAtomicMeasure(b2, dict(zip(keys, weights))))
+                want = oracles.pairwise_convolve(*(dict(m.atoms) for m in measures))
+                assert list(convolve(*measures).atoms.items()) == list(want.items())
+        # coords whose sums pass int64 are added as Python ints
+        wide = SignedAtomicMeasure(B1, {(2**62,): 0.5, (-(2**63),): 0.25, (3,): 0.25})
+        want = oracles.pairwise_convolve(dict(wide.atoms), dict(wide.atoms))
+        assert list(convolve(wide, wide).atoms.items()) == list(want.items())
 
     def test_submultiplicative_commutative_associative(self):
         rng = np.random.default_rng(11)

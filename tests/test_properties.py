@@ -1,6 +1,8 @@
 """Property-based tests: the JSON loaders at the file boundary, the
 support reduction c0 + B Z^r, a d = 1 law against its rank-1 lift into
-d = 2, and certified separation against dense sampling."""
+d = 2, certified separation and its one-atom floor against dense
+sampling, and the integer lattice constructors against their Fraction
+reference."""
 
 import math
 from fractions import Fraction
@@ -24,6 +26,7 @@ from quasilevy import (  # noqa: E402
     SeparationParams,
     SignedAtomicMeasure,
     certify_separation,
+    dominant_mass_bound,
     extract_triplet,
     jsonio,
 )
@@ -285,3 +288,72 @@ def test_certified_never_contradicts_dense_sampling(law, gap):
     sampled = sampled_torus_min(law, {1: 1 << 16, 2: 256, 3: 64}[law.basis.d])
     assert sampled >= cert.mu - cert.search_log["rounding_margin"]
     assert cert.mu >= gap * cert.best_inf_estimate
+
+
+@st.composite
+def floor_laws(draw):
+    """Law on [0, 16] (d = 1) or on [-3, 3]^2 over (1, sqrt 2) whose heaviest atom carries p* in (0.5, 0.999)."""
+    d = draw(st.sampled_from([1, 2]))
+    point = st.integers(0, 16) if d == 1 else st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    support = draw(st.lists(point, min_size=2, max_size=7, unique=True))
+    p_star = draw(st.floats(0.5, 0.999, exclude_min=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support) - 1, max_size=len(support) - 1))
+    rest = [w / sum(weights) * (1 - p_star) for w in weights]
+    basis = FrequencyBasis((1,) if d == 1 else (1, math.sqrt(2)))
+    return DiscreteLaw.from_pairs(basis, list(zip(support, [p_star, *rest])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_laws(), st.sampled_from([0.9, 0.99, 0.999]))
+def test_floor_never_exceeds_a_sampled_modulus(law, gap):
+    """The one-atom floor is at most p* less the other masses, exactly, and no certified mu exceeds a sample of |f|."""
+    masses = [Fraction(m) for m in law.atoms.values()]
+    bound = dominant_mass_bound(law)
+    assert bound is None or 0 < Fraction(bound) <= 2 * max(masses) - sum(masses)
+    cert = certify_separation(law, SeparationParams(target_gap=gap, max_cells=20_000))
+    sampled = sampled_torus_min(law, {1: 1 << 16, 2: 256}[law.basis.d])
+    margin = cert.search_log["rounding_margin"]  # bounds the float error of a sampled modulus too
+    assert bound is None or sampled >= bound - margin
+    if cert.verdict == "certified":
+        assert sampled >= cert.mu - margin
+        assert cert.search_log["bound"] != "dominant" or cert.mu == bound
+
+
+def test_floor_edge_cases_are_exact():
+    # G_n at n = 10^15: p* - rest = 2/(n + 2), below zero_tol; the floor is a proof, so it is certified
+    n = 10**15
+    g = DiscreteLaw.from_lattice({0: Fraction(1, 2) + Fraction(1, n + 2), 1: Fraction(1, 2) - Fraction(1, n + 2)})
+    assert 0 < Fraction(dominant_mass_bound(g)) <= Fraction(2, n + 2)
+    cert = certify_separation(g)
+    assert (cert.verdict, cert.search_log["bound"]) == ("certified", "dominant")
+    assert Fraction(cert.mu) <= Fraction(2, n + 2)
+    # float masses summing to 1 - 2^-52 and to 1 + 2^-52: p* less the rest, whatever the total, which is
+    # inf |f| here, reached at t = pi
+    for rest in ([0.125, 0.125 - 2**-52], [0.125, 0.125 + 2**-52]):
+        law = DiscreteLaw.from_lattice({0: 0.75, 1: rest[0], 3: rest[1]})
+        exact = Fraction(0.75) - sum(map(Fraction, rest))
+        assert 0 < Fraction(dominant_mass_bound(law)) <= exact
+        assert Fraction(certify_separation(law).mu) <= exact
+
+
+rationals = st.fractions(max_denominator=60).filter(lambda x: abs(x) < 10**6) | st.integers(-10**20, 10**20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-10**12, 10**12), st.floats(0.01, 1.0), min_size=1, max_size=8),
+       rationals, rationals.filter(lambda x: x > 0))
+def test_lattice_constructors_match_the_fraction_reference(weights, offset, span):
+    """from_lattice and from_values, in integer arithmetic, give the basis, coords and masses of the Fraction
+    reference."""
+    total = sum(weights.values())
+    masses = {l: w / total for l, w in weights.items()}
+    for law, ref in [
+        (DiscreteLaw.from_lattice(masses, offset=offset, span=span),
+         oracles.law_from_lattice(masses, offset=offset, span=span)),
+        (DiscreteLaw.from_values([(offset + span * l, m) for l, m in masses.items()]),
+         oracles.law_from_values([(offset + span * l, m) for l, m in masses.items()])),
+        (DiscreteLaw.from_values([(offset, 1.0)]), oracles.law_from_values([(offset, 1.0)])),
+    ]:
+        assert law.basis.alphas == ref.basis.alphas
+        assert all(type(a) is Fraction for a in law.basis.alphas)
+        assert list(law.atoms.items()) == list(ref.atoms.items())
