@@ -8,8 +8,10 @@ a compound-exponential series truncated at the smallest order M whose
 factorial tail bound meets the tolerance.  One routine sums it for every
 d, in Fourier space: the weights sit on a real array, a power of two per
 axis, whose window along each axis holds the series' mass by a Chernoff
-bound (or spans every coordinate the order-M series reaches, when that
-is no larger); an array beyond GRID_BUDGET points raises Diverged.
+bound, or spans every coordinate the order-M series reaches when that is
+no larger.  The bound takes the best of 32 exponents from two fixed
+tables: a coarse one, and a fine one around the coarse best.  An array
+beyond GRID_BUDGET points raises Diverged.
 sum_{n<=M} J^n/n! is evaluated pointwise by Horner over rfftn(jump) and
 inverted once.  The reported residual bounds the l1 distance to the
 exact series: the tail, the pruned atoms, twice the mass bound outside
@@ -71,6 +73,20 @@ def _series_order(norm: float, prefactor: float, params: ExpSeriesParams) -> tup
     )
 
 
+# Chernoff exponents of _axis_window, in units of 1 / reach: a coarse scan, then
+# factors that place the fine one strictly between the neighbours of the best coarse exponent
+COARSE_THETA = np.geomspace(1e-4, 64.0, 16)
+FINE_THETA = (COARSE_THETA[1] / COARSE_THETA[0]) ** np.linspace(-1.0, 1.0, 18)[1:-1]
+
+
+def _cumulant(theta: np.ndarray, u: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """sum_u mags_u e^(theta u) for each theta, at most TERMS_BUDGET exponentials at a time.
+
+    Every theta of _axis_window is below 160 / reach, so no exponential overflows.
+    """
+    return sum(np.exp(np.outer(theta, u[cols])) @ mags[cols] for cols in budget_slices(len(u), len(theta)))
+
+
 def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[int, int, float]:
     """Window (lo, length) of one axis of the series array, and the mass bound outside it.
 
@@ -80,9 +96,12 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
     on the nonnegative measure exp(|N|) = sum_n |N|^(*n)/n!, which
     dominates every term of the series: for theta > 0 its mass at axis
     coordinates x >= R is at most exp(-theta R + sum_u |lambda_u| e^(theta u)),
-    and likewise below.  Each side is sized so its bound is at most
-    e^log_share, and the bound at the final edges is returned (0 when the
-    window holds the whole span).
+    and likewise below.  Any theta > 0 gives a valid bound, so each side
+    tries 32 from two fixed tables: the 16 exponents COARSE_THETA / reach,
+    then 16 strictly between the two neighbours of the coarse one that
+    gives the nearest edge (FINE_THETA times it).  Each side is sized so
+    its best bound is at most e^log_share, and the best bound at the final
+    edges is returned (0 when the window holds the whole span).
     """
     axis = np.asarray(axis)  # sized in Python ints below: a frequency from a triplet file may exceed int64
     lo, hi = min(0, order * int(axis.min())), max(0, order * int(axis.max()))
@@ -92,15 +111,18 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
         return lo, length, 0.0
     live = mags > 0
     u, live_mags = axis.astype(float)[live], mags[live]
-    theta = np.geomspace(1e-4, 64.0, 96) / reach
-    with np.errstate(over="ignore"):
-        cumulant = {side: sum(np.exp(side * np.outer(theta, u[cols])) @ live_mags[cols]
-                              for cols in budget_slices(len(u), len(theta)))
-                    for side in (1, -1)}
+    coarse = COARSE_THETA / reach
+    theta, cumulant = {}, {}
+    for side in (1, -1):
+        signed = side * u
+        rough = _cumulant(coarse, signed, live_mags)
+        fine = coarse[np.argmin((rough - log_share) / coarse)] * FINE_THETA
+        theta[side] = np.concatenate([coarse, fine])
+        cumulant[side] = np.concatenate([rough, _cumulant(fine, signed, live_mags)])
 
     def edge(side: int, cap: int) -> int:
         # least R >= 1 with exp(-theta R + K(side theta)) <= e^log_share for some theta
-        best = float(np.min((cumulant[side] - log_share) / theta))
+        best = float(np.min((cumulant[side] - log_share) / theta[side]))
         return max(1, int(best) + 1) if best < cap else cap
 
     up, down = edge(1, hi + 1), edge(-1, 1 - lo)
@@ -116,7 +138,7 @@ def _axis_window(axis, mags: np.ndarray, order: int, log_share: float) -> tuple[
         if (side > 0 and w_hi >= hi) or (side < 0 and w_lo <= lo):
             return 0.0
         with np.errstate(over="ignore"):
-            return float(np.min(np.exp(cumulant[side] - theta * edge_at)))
+            return float(np.min(np.exp(cumulant[side] - theta[side] * edge_at)))
 
     return w_lo, short, outside(1, w_hi + 1) + outside(-1, -(w_lo - 1))
 

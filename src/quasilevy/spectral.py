@@ -36,6 +36,11 @@ DEFAULT_STEP_GUARD = 0.9 * math.pi
 LAMBDA_DROP_TOL = 1e-13
 REAL_PART_TOL = 1e-10
 GRID_BUDGET = 1 << 22  # most points of one grid: an extraction pass or a reconstruction series
+# Extraction needs a proof that inf |f| > 0 and nothing more: the spectral pair
+# exists exactly when it is positive, and extraction never reads mu.  At this
+# gap any positive floor or cell bound closes the search.  A cell that holds a
+# zero never has a positive bound, so a law with a zero is still refuted.
+PROOF_OF_SEPARATION = SeparationParams(target_gap=2.0**-52)
 
 
 # --- distinguished logarithm along sampled paths -----------------------------
@@ -347,9 +352,14 @@ def extract_triplet(
 ) -> QuasiTriplet:
     """Triplet of a separated law, over any basis.
 
-    Separation is certified first.  The extraction runs on the law's
-    stored reduction c0 + B Z^r, the masses at m, so the grid tracks the
-    spread of m and has r axes.  gamma = c0 + B w with w the winding
+    Separation is certified first, under params.separation when it is
+    given.  Otherwise the certificate only proves inf |f| > 0, at the tiny
+    gap of PROOF_OF_SEPARATION: it is not tightened toward the sampled
+    infimum, so its mu may lie far below it (certify_separation, or check-s,
+    gives the tight one).  Either way it is kept as
+    diagnostics["certificate"].  The extraction runs on the law's stored
+    reduction c0 + B Z^r, the masses at m, so the grid tracks the spread of
+    m and has r axes.  gamma = c0 + B w with w the winding
     numbers of the axis loops, and the weight of the reduced frequency k
     is lambda_(B k).  input_tv_error is the total-variation error of an
     upstream support truncation; it enters tail_bound through the
@@ -357,7 +367,7 @@ def extract_triplet(
     """
     if params is None:
         params = TripletParams()
-    cert = require_separated(law, params.separation)
+    cert = require_separated(law, PROOF_OF_SEPARATION if params.separation is None else params.separation)
     c0, columns, m, masses = law.reduction()
     if columns:
         windings, (keys, values), tail, diagnostics = _extract(m, masses, params, input_tv_error)

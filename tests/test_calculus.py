@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasilevy import (
     DiscreteLaw,
@@ -120,6 +121,43 @@ def exact_series(lambdas: dict, terms: int) -> dict:
     return {key: scale * w for key, w in out.items()}
 
 
+def dominating_series(axis, mags, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coords and masses of sum_{n<=order} |N|^(*n)/n! on a dense array, N the weights mags at axis."""
+    lo, hi = min(0, order * min(axis)), max(0, order * max(axis))
+    series = np.zeros(hi - lo + 1)
+    series[-lo] = 1.0
+    term = series.copy()
+    for n in range(1, order + 1):
+        nxt = np.zeros_like(term)
+        for u, m in zip(axis, mags):  # term n + 1 still lies in [lo, hi], so no shift drops mass
+            if u >= 0:
+                nxt[u:] += m * term[:len(term) - u]
+            else:
+                nxt[:u] += m * term[-u:]
+        term = nxt / n
+        series += term
+    return np.arange(lo, hi + 1), series
+
+
+def mass_outside_window(axis, mags, order: int, log_share: float) -> tuple[float, int, float, int]:
+    """(dense mass outside the window, window length, returned bound, span length) of _axis_window."""
+    from quasilevy.calculus import _axis_window
+
+    lo, length, outside = _axis_window(axis, np.asarray(mags, dtype=float), order, log_share)
+    coords, series = dominating_series(axis, mags, order)
+    beyond = float(np.sum(series[(coords < lo) | (coords >= lo + length)]))
+    return beyond, length, outside, 1 << (int(coords[-1] - coords[0])).bit_length()
+
+
+def series_gap(measure, exact_at, exact_l1: Fraction) -> Fraction:
+    """l1 distance of a float measure to an exact one, given by its weight at a key and its l1 mass."""
+    gap = exact_l1
+    for key, w in measure.atoms.items():
+        e = exact_at(key)
+        gap += abs(Fraction(w) - e) - abs(e)
+    return gap
+
+
 class TestFourierSeries:
     @pytest.mark.parametrize("tol", [1e-12, 1e-30])
     @pytest.mark.parametrize("basis, lambdas, terms", [
@@ -147,26 +185,62 @@ class TestFourierSeries:
         gap = sum(abs(Fraction(measure.atoms.get(k, 0.0)) - exact.get(k, 0)) for k in keys)
         assert 0 < gap <= residual
 
+    # d = 1 weights k/64, |k| <= 19, at up to 4 frequencies: exact in floats and in small rationals
+    small_triplets = st.dictionaries(
+        st.integers(-5, 8).filter(bool).map(lambda k: (k,)),
+        st.integers(-19, 19).filter(bool).map(lambda k: Fraction(k, 64)),
+        min_size=1, max_size=4,
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(lambdas=small_triplets, second=st.none() | small_triplets)
+    def test_within_residual_of_exact_series_property(self, lambdas, second):
+        # a d = 1 triplet, or with `second` the d = 2 product of two: its
+        # exponent is lambdas on the first axis plus second on the other, so
+        # the exact series is the outer product of the two d = 1 series.  Each
+        # runs to 24 terms; with l1 norm at most 1.2 the rest of it is below
+        # 1e-22, far under any residual
+        factors = [lambdas] if second is None else [lambdas, second]
+        exact = [exact_series(f, 24) for f in factors]
+        exact_l1 = math.prod(sum(map(abs, e.values())) for e in exact)
+        if second is None:
+            basis, weights = B1, lambdas
+        else:
+            basis = FrequencyBasis((1, math.sqrt(2)))
+            weights = {**{(k, 0): v for (k,), v in lambdas.items()}, **{(0, k): v for (k,), v in second.items()}}
+
+        def exact_at(key):
+            return math.prod(e.get((c,), 0) for e, c in zip(exact, key))
+
+        for tol in (1e-12, 1e-30):
+            measure, residual = compound_exp(
+                QuasiTriplet(basis, (0,) * basis.d, {c: float(v) for c, v in weights.items()}),
+                ExpSeriesParams(tol=tol),
+            )
+            assert series_gap(measure, exact_at, exact_l1) <= residual
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_window_bounds_the_mass_outside_it(self, sign):
         # the dominating measure exp(|N|) along one axis, summed to order M
         # on a dense array, against the window and the bound _axis_window returns
-        from quasilevy.calculus import _axis_window
-
-        axis, mags, order = tuple(sign * u for u in (1, -2, 7, 30)), np.array([0.3, 0.2, 0.02, 1e-4]), 24
+        axis, mags, order = tuple(sign * u for u in (1, -2, 7, 30)), (0.3, 0.2, 0.02, 1e-4), 24
         log_share = math.log(1e-12)
-        lo, length, outside = _axis_window(axis, mags, order, log_share)
-        low, high = min(axis), max(axis)
-        assert length < order * (high - low) + 1
-        jump = np.zeros(high - low + 1)
-        jump[np.array(axis) - low] = mags
-        series, term = np.zeros(order * (high - low) + 1), np.array([1.0])
-        for n in range(order + 1):  # term n starts at coordinate n * low
-            series[(order - n) * -low: (order - n) * -low + len(term)] += term
-            term = np.convolve(term, jump) / (n + 1)
-        coords = np.arange(len(series)) + order * low
-        beyond = float(np.sum(series[(coords < lo) | (coords >= lo + length)]))
+        beyond, length, outside, _ = mass_outside_window(axis, mags, order, log_share)
+        assert length < order * (max(axis) - min(axis)) + 1
         assert 0.0 < beyond <= outside <= 2 * math.exp(log_share)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        axis=st.lists(st.integers(-64, 1024).filter(bool), min_size=3, max_size=60, unique=True),
+        data=st.data(),
+        order=st.integers(4, 40),
+        log_share=st.floats(-60.0, -1.0),
+    )
+    def test_window_bounds_the_mass_outside_it_property(self, axis, data, order, log_share):
+        mags = data.draw(st.lists(st.floats(1e-12, 0.3), min_size=len(axis), max_size=len(axis)))
+        beyond, length, outside, span = mass_outside_window(axis, mags, order, log_share)
+        assert beyond <= outside <= 2 * math.exp(log_share)
+        assert length <= span
 
     def test_roundoff_level_atoms_are_pruned(self):
         # every term of the series is nonnegative here, so an atom that

@@ -10,6 +10,7 @@ from quasilevy import (
     NonpositiveTau,
     NotSeparated,
     QuasiTriplet,
+    SeparationParams,
     SignedAtomicMeasure,
     StepTooCoarse,
     TripletParams,
@@ -17,6 +18,7 @@ from quasilevy import (
     cf_eval,
     cf_from_triplet,
     distinguished_log,
+    extract_triplet,
     gamma_tau,
     levy_spectral_function,
     mean_motion,
@@ -28,6 +30,7 @@ from quasilevy import (
     tv_distance,
     winding_number,
 )
+from quasilevy import jsonio
 from oracles import (
     geometric_cf,
     geometric_lambdas,
@@ -262,6 +265,34 @@ class TestTripletMultibasis:
         with pytest.raises(NotSeparated) as err:
             triplet_multibasis(law)
         assert err.value.certificate.torus_infimum_only
+
+
+class TestExtractionSeparation:
+    # two laws with no atom above half the mass, which the search must decide, and a dominant-atom law
+    LAWS = [
+        DiscreteLaw.from_lattice({0: 0.36, 1: 0.24, 3: 0.24, 4: 0.16}),
+        DiscreteLaw.from_lattice({0: 0.3, 1: 0.35, 2: 0.35}),
+        DiscreteLaw.from_lattice({0: 0.7, 2: 0.2, 5: 0.1}),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["no-dominant-4", "no-dominant-3", "dominant"])
+    def test_proof_of_separation_gives_the_same_triplet(self, law):
+        proved = extract_triplet(law)
+        tight = extract_triplet(law, TripletParams(separation=SeparationParams()))
+        assert jsonio.dumps(jsonio.triplet_to_json(proved)) == jsonio.dumps(jsonio.triplet_to_json(tight))
+        assert proved.diagnostics["certificate"].is_certified
+        assert (proved.diagnostics["certificate"].search_log["cells"]
+                <= tight.diagnostics["certificate"].search_log["cells"])
+
+    def test_dominant_atom_certifies_at_the_root(self):
+        log = extract_triplet(self.LAWS[2]).diagnostics["certificate"].search_log
+        assert (log["bound"], log["cells"]) == ("dominant", 1)
+
+    def test_explicit_separation_params_are_honoured(self):
+        params = SeparationParams(target_gap=0.95)
+        cert = extract_triplet(self.LAWS[0], TripletParams(separation=params)).diagnostics["certificate"]
+        assert cert.is_certified
+        assert cert.mu >= 0.95 * cert.best_inf_estimate
 
 
 class TestMeanMotion:
