@@ -248,7 +248,7 @@ def compound_exp(
     if params is None:
         params = ExpSeriesParams()
     gamma = triplet.gamma_coords
-    if not triplet.lambdas:
+    if not len(triplet.levy_measure.coords):
         return SignedAtomicMeasure(triplet.basis, {gamma: 1.0}), 0.0
     c0, columns, m, lams = triplet.levy_measure.reduction()
     span, k = _lattice(np.array([c0, *columns], dtype=object), triplet.basis)
@@ -393,4 +393,4 @@ def is_infinitely_divisible(triplet: QuasiTriplet, tol: float = NEGATIVE_MASS_TO
     """All spectral weights nonnegative (up to tol) and a negligible tail."""
     if triplet.tail_bound > tol:
         return False
-    return all(lam >= -tol for lam in triplet.lambdas.values())
+    return all(lam >= -tol for lam in triplet.levy_measure.given_weights)

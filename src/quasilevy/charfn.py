@@ -106,7 +106,7 @@ def dominant_mass_bound(law: DiscreteLaw) -> Optional[float]:
     value; exact masses give the bound exactly, rounded down once.  O(K),
     no search.
     """
-    masses = list(law.atoms.values())
+    masses = law.given_weights
     top = max(masses)
     if all(isinstance(w, float) for w in masses):
         rest = math.nextafter(math.fsum([*masses, -top]), math.inf)

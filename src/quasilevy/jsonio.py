@@ -95,8 +95,8 @@ def _basis_to_json(basis: FrequencyBasis, doc: dict) -> dict:
 # --- entries: [{<key>: coords, <value_key>: number}] -----------------------------
 
 
-def _entries_to_json(entries, key: str, value_key: str) -> list:
-    return [{key: list(c), value_key: scalar_to_json(v)} for c, v in sorted(entries.items())]
+def _entries_to_json(m: SignedAtomicMeasure, key: str, value_key: str) -> list:
+    return [{key: c, value_key: scalar_to_json(v)} for c, v in sorted(zip(m.coords.tolist(), m.given_weights))]
 
 
 def _entries_from_json(entries, where: str, key: str, value_key: str) -> list:
@@ -118,7 +118,7 @@ def _entries_from_json(entries, where: str, key: str, value_key: str) -> list:
 
 
 def law_to_json(law: DiscreteLaw) -> dict:
-    return _basis_to_json(law.basis, {"atoms": _entries_to_json(law.atoms, "coords", "mass")})
+    return _basis_to_json(law.basis, {"atoms": _entries_to_json(law, "coords", "mass")})
 
 
 def law_from_json(doc) -> DiscreteLaw:
@@ -152,7 +152,7 @@ def law_from_json(doc) -> DiscreteLaw:
 
 
 def measure_to_json(m: SignedAtomicMeasure) -> dict:
-    return _basis_to_json(m.basis, {"atoms": _entries_to_json(m.atoms, "coords", "weight")})
+    return _basis_to_json(m.basis, {"atoms": _entries_to_json(m, "coords", "weight")})
 
 
 def measure_from_json(doc) -> SignedAtomicMeasure:
@@ -175,7 +175,7 @@ def triplet_to_json(t: QuasiTriplet) -> dict:
         t.basis,
         {
             "gamma_coords": list(t.gamma_coords),
-            "lambdas": _entries_to_json(t.lambdas, "freq", "value"),
+            "lambdas": _entries_to_json(t.levy_measure, "freq", "value"),
             "tail_bound": float(t.tail_bound),
         },
     )

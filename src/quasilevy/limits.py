@@ -27,6 +27,14 @@ from .spectral import triplet_lattice, triplet_multibasis  # noqa: F401  hooked 
 
 FINITE_SAMPLE_NOTE = "finite-sample evidence over the given prefix, not a proof about the sequence"
 
+WINDOW_FRAC = 1.0 / 3.0  # the trailing share of the prefix a trend is read over
+REFERENCE_FRAC = 0.2  # where in the prefix the growth of the l1 norms is measured from
+MIN_GROWTH_PREFIX = 20  # the fewest members for which a growth ratio means anything
+TAIL_TOL = 1e-6  # the uniform tail the last schedule point must fall below
+TAIL_SCHEDULE = (4, 8, 16, 32, 64, 128)  # frequencies kept before each uniform tail is read
+DEGENERACY_FACTOR = 0.5  # norms that fell below this share of the reference read as degenerating
+DEGENERACY_TOL = 1e-9  # norms already at most this read as degenerate
+
 
 def triplet_of(law: DiscreteLaw, params: Optional[TripletParams] = None) -> QuasiTriplet:
     """The triplet of one member: extract_triplet, the same for every basis."""
@@ -74,7 +82,7 @@ def frequency_universe(triplets: Sequence[QuasiTriplet]) -> list[Coords]:
     """Deterministic enumeration of all realized frequencies, zero first; each float value is read once."""
     values: dict[Coords, float] = {}
     for t in triplets:
-        values.update(zip(t.lambdas, t.levy_measure.support_floats().tolist()))
+        values.update(zip(map(tuple, t.levy_measure.coords.tolist()), t.levy_measure.support_floats().tolist()))
     ordered = sorted(values, key=lambda c: (abs(values[c]), 0 if values[c] < 0 else 1, c))
     return [(0,) * triplets[0].basis.d] + ordered
 
@@ -89,8 +97,8 @@ def _extract_all(seq: LawSequence, params: Optional[TripletParams]) -> list[Quas
     return out
 
 
-def _tail_window(values: Sequence[float], frac: float) -> list[float]:
-    k = max(2, math.ceil(len(values) * frac))
+def _tail_window(values: Sequence[float]) -> list[float]:
+    k = max(2, math.ceil(len(values) * WINDOW_FRAC))
     return list(values[-k:])
 
 
@@ -107,20 +115,14 @@ class Thresholds:
     """Finite-sample readings of the asymptotic conditions.
 
     "-> 0" is read as: final value below final_tol and nonincreasing over
-    the trailing window_frac of the prefix.  "sup < infinity" is read as:
+    the trailing WINDOW_FRAC of the prefix.  "sup < infinity" is read as:
     no growth by growth_factor between the reference point (at
-    reference_frac of the prefix) and the end; that signal needs at least
-    min_growth_prefix members to be meaningful at all.
+    REFERENCE_FRAC of the prefix) and the end; that signal needs at least
+    MIN_GROWTH_PREFIX members to be meaningful at all.
     """
 
     final_tol: float = 1e-6
-    window_frac: float = 1.0 / 3.0
     growth_factor: float = 2.0
-    reference_frac: float = 0.2
-    min_growth_prefix: int = 20
-    tail_tol: float = 1e-6
-    degeneracy_factor: float = 0.5
-    degeneracy_tol: float = 1e-9
 
 
 @dataclass
@@ -176,9 +178,9 @@ def check_convergence(
     ell1 = [ell1_triplet_distance(t, limit_triplet) for t in triplets]
     tv = [tv_distance(law, seq.limit) for law in seq.laws]
 
-    win = _tail_window(ell1, thresholds.window_frac)
+    win = _tail_window(ell1)
     ell1_ok = ell1[-1] < thresholds.final_tol and _nonincreasing(win)
-    tv_win = _tail_window(tv, thresholds.window_frac)
+    tv_win = _tail_window(tv)
     tv_ok = tv[-1] < thresholds.final_tol and _nonincreasing(tv_win)
 
     if stable_from is None:
@@ -229,17 +231,16 @@ class RelativeCompactnessReport:
 
 def check_relative_compactness(
     seq: LawSequence,
-    n_tail_schedule: Sequence[int] = (4, 8, 16, 32, 64, 128),
     thresholds: Optional[Thresholds] = None,
     params: Optional[TripletParams] = None,
 ) -> RelativeCompactnessReport:
     """Finite-sample evidence for the three relative-compactness conditions.
 
     (shift) the shifts take few values and none new appear in the tail,
-    the same trailing window_frac of the prefix the trend checks read;
+    the same trailing WINDOW_FRAC of the prefix the trend checks read;
     (norm) the l1 norms do not blow up across the prefix;
     (tail) the shared-enumeration tails are uniformly small by the end of
-    the schedule.
+    TAIL_SCHEDULE.
     """
     if thresholds is None:
         thresholds = Thresholds()
@@ -253,7 +254,7 @@ def check_relative_compactness(
             first_seen[g] = i
             distinct.append(g)
     # first member (1-based) of the trailing window the trend checks read
-    tail_start = _tail_window(range(1, len(gammas) + 1), thresholds.window_frac)[0]
+    tail_start = _tail_window(range(1, len(gammas) + 1))[0]
     # the first member's shift is never new; any other first seen inside the window is
     new_in_tail = any(i >= max(tail_start, 2) for i in first_seen.values()) and len(gammas) > 2
     pass_i = not new_in_tail
@@ -262,24 +263,23 @@ def check_relative_compactness(
     sup_ell1 = max(ell1)
     growth_ratio = None
     pass_ii = True
-    if len(ell1) >= thresholds.min_growth_prefix:
-        ref = ell1[max(0, math.floor(len(ell1) * thresholds.reference_frac) - 1)]
+    if len(ell1) >= MIN_GROWTH_PREFIX:
+        ref = ell1[max(0, math.floor(len(ell1) * REFERENCE_FRAC) - 1)]
         if ref > 0:
             growth_ratio = ell1[-1] / ref
             pass_ii = growth_ratio < thresholds.growth_factor
 
     universe = frequency_universe(triplets)[1:]  # nonzero frequencies, enumerated
-    schedule = sorted(set(int(n) for n in n_tail_schedule))
     # per member, tails[j] = the l1 mass of its weights at universe[j:], one reversed cumulative sum
     where = {c: j for j, c in enumerate(universe)}
     tails = np.zeros((len(triplets), len(universe) + 1))
     for row, t in zip(tails, triplets):
-        row[[where[c] for c in t.lambdas]] = np.abs(t.levy_measure.weights)
+        row[[where[c] for c in map(tuple, t.levy_measure.coords.tolist())]] = np.abs(t.levy_measure.weights)
         row[::-1] = np.cumsum(row[::-1]) + t.tail_bound
-    cut = [min(n_keep, len(universe)) for n_keep in schedule]
+    cut = [min(n_keep, len(universe)) for n_keep in TAIL_SCHEDULE]
     sup_tails = tails[:, cut].max(axis=0).tolist()
     tails_decreasing = _nonincreasing(sup_tails)
-    pass_iii = tails_decreasing and (not sup_tails or sup_tails[-1] < thresholds.tail_tol)
+    pass_iii = tails_decreasing and (not sup_tails or sup_tails[-1] < TAIL_TOL)
 
     return RelativeCompactnessReport(
         gamma_values=distinct,
@@ -289,7 +289,7 @@ def check_relative_compactness(
         sup_ell1=sup_ell1,
         growth_ratio=growth_ratio,
         pass_norm_condition=pass_ii,
-        tail_schedule=schedule,
+        tail_schedule=list(TAIL_SCHEDULE),
         sup_tails=sup_tails,
         tails_decreasing=tails_decreasing,
         pass_tail_condition=pass_iii,
@@ -315,17 +315,17 @@ def check_stochastic_compactness(
 
     The degeneracy flag fires when the norms shrink persistently toward 0
     over the prefix tail (the degenerate-limit signature), or have already
-    reached degeneracy_tol.
+    reached DEGENERACY_TOL.
     """
     if thresholds is None:
         thresholds = Thresholds()
     relative = check_relative_compactness(seq, thresholds=thresholds, params=params)
     ell1 = relative.ell1_norms
-    tail = _tail_window(ell1, thresholds.window_frac)
+    tail = _tail_window(ell1)
     tail_min = min(tail)
-    ref = ell1[max(0, math.floor(len(ell1) * thresholds.reference_frac) - 1)]
-    degenerate = tail_min <= thresholds.degeneracy_tol or (
-        _nonincreasing(tail) and ell1[-1] <= thresholds.degeneracy_factor * ref and len(ell1) >= 3
+    ref = ell1[max(0, math.floor(len(ell1) * REFERENCE_FRAC) - 1)]
+    degenerate = tail_min <= DEGENERACY_TOL or (
+        _nonincreasing(tail) and ell1[-1] <= DEGENERACY_FACTOR * ref and len(ell1) >= 3
     )
     return StochasticCompactnessReport(
         relative=relative,

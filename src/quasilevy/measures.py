@@ -1,25 +1,25 @@
-"""One exact carrier for signed atomic measures and discrete laws.
+"""One exact carrier for signed atomic measures and discrete laws, stored as arrays.
 
 A law is the special case of a finite signed measure on the support
 module whose weights are nonnegative and sum to 1: DiscreteLaw subclasses
 SignedAtomicMeasure and adds only that check to construction, so every
-DiscreteLaw, however built, is a valid law.  Equality is type-strict: a
-law never equals the signed measure with the same atoms.
+DiscreteLaw, however built, is a valid law.  Equality is type-strict.
 
 Atoms are keyed by integer coordinate vectors over a declared frequency
 basis (alpha_1..alpha_d), so every support point is an exact Z-linear
-combination of the basis.  One array check admits the keys of a law, a
-measure or a triplet at once: integers only, d of them, and (0,) alone
-on the trivial basis.  Rational data is kept as `fractions.Fraction` end
-to end; statements like "the shift parameter lies in the support module"
-are then exact identities, not float comparisons.
+combination of the basis.  A measure has one stored form, arrays in atom
+order: its coords, checked as one array (integers only, d of them, (0,)
+alone on the trivial basis); its weights as given, so rational data stays
+`fractions.Fraction` and "gamma lies in the support module" is an exact
+identity, not a float comparison; and their float view.  The atoms
+mapping is made from them when read.  One routine (_merge) adds the
+weights of equal coords, for sums, convolutions and rational bases alike.
 
-Floats are allowed both as basis entries (irrational surrogates such as
-sqrt(2)) and as masses/weights.  `module_generator` needs exact values
-and refuses float bases.  Each measure writes its support as c0 + B Z^r
-once, on first use (SignedAtomicMeasure.reduction), and every numeric
-layer reads that reduction: on the integer coords for every basis, on
-the exact values when a rational basis makes the coords Z-dependent.
+Floats are allowed as basis entries (irrational surrogates such as
+sqrt(2)) and as weights; `module_generator` refuses float bases.  Each
+measure writes its support as c0 + B Z^r once, on first use (reduction),
+for every numeric layer to read: from the integer coords, or from the
+exact values when a rational basis makes the coords Z-dependent.
 """
 
 from __future__ import annotations
@@ -200,54 +200,81 @@ def _normalize_coords(coords, basis: FrequencyBasis) -> Coords:
     return tuple(_coords_array([coords], basis)[0].tolist())
 
 
+def _merge(coords: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of equal coords as one, in the order the rows first reach them, each weight summed from 0 in row order.
+
+    np.add.at is unbuffered, so float sums are those of a loop over the rows
+    and exact weights, in an object array, stay exact.  Rows of width 0 are equal.
+    """
+    perm = np.lexsort(coords.T[::-1]) if coords.shape[1] else np.arange(len(coords))
+    ranked = coords[perm]
+    head = np.ones(len(perm), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = perm[head]  # each group's first row: the stable sort puts it at the group's head
+    slot = np.empty(len(first), dtype=np.intp)
+    slot[np.argsort(first)] = np.arange(len(first))  # groups numbered in the order the rows reach them
+    where = np.empty(len(perm), dtype=np.intp)
+    where[perm] = slot[np.cumsum(head) - 1]
+    out = np.zeros(len(first), dtype=weights.dtype)
+    np.add.at(out, where, weights)
+    return coords[np.sort(first)], out
+
+
+def _weight_array(weights: tuple) -> np.ndarray:
+    """Float weights as a float array; once any weight is exact, the Python numbers as given, in an object array."""
+    return np.array(weights, dtype=float if all(isinstance(w, float) for w in weights) else object)
+
+
 class SignedAtomicMeasure:
     """Finitely supported real-weighted atomic measure (signed allowed).
 
     The carrier for logarithms, differences and fractional convolution
-    powers of laws, and the base of DiscreteLaw.  Immutable after
-    construction.  Atoms come as a mapping, as (coords, weight) pairs, or
-    as the arrays (coords (n, d), weights (n,)) a numeric layer hands over,
-    and are checked as arrays.  Beside the atoms it keeps its coords and a
-    float view of its weights, and makes its support values and its support
-    lattice c0 + B Z^r once, on first use.
+    powers of laws, and the base of DiscreteLaw.  Immutable.  Atoms come as
+    a mapping, as (coords, weight) pairs, or as the arrays (coords (n, d),
+    weights (n,)) a numeric layer hands over, and are stored in atom order
+    as `coords`, `given_weights` (the weights as given, so exact ones stay
+    exact) and `weights`, their float view.  The read-only `atoms` mapping,
+    the support values and the lattice c0 + B Z^r are made on first use.
     """
 
-    __slots__ = ("basis", "_atoms", "coords", "weights", "_values", "_reduction")
+    __slots__ = ("basis", "coords", "given_weights", "weights", "_atoms", "_values", "_reduction")
     _weight_name = "weight"
 
     def __init__(self, basis: FrequencyBasis, atoms: Mapping[Coords, Scalar] | Iterable):
         self.basis = basis
         if isinstance(atoms, Mapping):
-            atoms = atoms.items()
-        if isinstance(atoms, tuple) and len(atoms) == 2 and isinstance(atoms[1], np.ndarray):
+            keys, weights = list(atoms), list(atoms.values())
+        elif isinstance(atoms, tuple) and len(atoms) == 2 and isinstance(atoms[1], np.ndarray):
             keys, weights = atoms[0], atoms[1].tolist()
         else:
             pairs = list(atoms)
             keys, weights = [c for c, _ in pairs], [w for _, w in pairs]
         coords = _coords_array(keys, basis)
-        atoms = dict(zip(map(tuple, coords.tolist()), weights))
-        if len(atoms) < len(weights):
+        ranked = coords[np.lexsort(coords.T[::-1])]  # one sort puts equal keys side by side
+        if (ranked[1:] == ranked[:-1]).all(axis=1).any():
             seen: set = set()
             twice = next(c for c in map(tuple, coords.tolist()) if c in seen or seen.add(c))
             raise DuplicateAtom(f"atom {twice} listed twice")
-        kept = self._checked(atoms)  # a law's mass check comes first: it also refuses masses beyond the float range
+        keep = self._checked(coords, weights)  # a law's check comes first: it refuses masses beyond the float range
         view = np.array(weights, dtype=float)  # OverflowError for an exact weight beyond the float range
         if not np.isfinite(view).all():
             raise ValueError(f"{self._weight_name} must be finite, got {weights[np.argmin(np.isfinite(view))]!r}")
-        if len(kept) < len(atoms):
-            keep = np.array([c in kept for c in atoms])
+        if keep is not None and not all(keep):
             coords, view = _read_only(coords[keep]), view[keep]
-        self._atoms = MappingProxyType(kept)
-        self.coords, self.weights = coords, _read_only(view)
-        self._values = self._reduction = None
+            weights = [w for w, k in zip(weights, keep) if k]
+        self.coords, self.given_weights, self.weights = coords, tuple(weights), _read_only(view)
+        self._atoms = self._values = self._reduction = None
 
     @staticmethod
-    def _checked(atoms: dict[Coords, Scalar]) -> dict[Coords, Scalar]:
-        """The atoms to store; a signed measure takes any finite weights."""
-        return atoms
+    def _checked(coords: np.ndarray, weights: list) -> list[bool] | None:
+        """The mask of the atoms to store, None for all; a signed measure takes any finite weights."""
+        return None
 
     @property
     def atoms(self) -> Mapping[Coords, Scalar]:
+        """The read-only mapping coords -> weight as given, in atom order, made on first read."""
+        if self._atoms is None:
+            self._atoms = MappingProxyType(dict(zip(map(tuple, self.coords.tolist()), self.given_weights)))
         return self._atoms
 
     def support_floats(self) -> np.ndarray:
@@ -276,44 +303,35 @@ class SignedAtomicMeasure:
         gives, add their weights.
         """
         if self._reduction is None:
-            c0 = min(self._atoms)
+            c0 = tuple(self.coords[np.lexsort(self.coords.T[::-1])[0]].tolist())
             columns, m = _lattice(self.coords.astype(object) - np.array(c0, dtype=object), self.basis)
             weights = self.weights
             if self.basis.d > 1 and self.basis.is_rational:  # the exact sum of the weights of each m, rounded once
-                merged: dict = {}
-                for key, w in zip(map(tuple, m.tolist()), self._atoms.values()):
-                    merged[key] = merged.get(key, 0) + Fraction(w)
-                m = np.array(list(merged), dtype=object).reshape(len(merged), len(columns))
-                weights = np.array([float(w) for w in merged.values()])
-            self._reduction = (c0, columns, _read_only(_compact(m)), _read_only(weights))
+                m, weights = _merge(m, np.array([Fraction(w) for w in self.given_weights], dtype=object))
+            self._reduction = (c0, columns, _read_only(_compact(m)), _read_only(weights.astype(float)))
         return self._reduction
 
     def weight(self, coords) -> Scalar:
-        return self._atoms.get(_normalize_coords(coords, self.basis), 0)
+        return self.atoms.get(_normalize_coords(coords, self.basis), 0)
 
     def total(self) -> Scalar:
-        return sum(self._atoms.values(), start=Fraction(0) if self._is_exact_weights() else 0.0)
-
-    def _is_exact_weights(self) -> bool:
-        return all(is_exact(w) for w in self._atoms.values())
+        return sum(self.given_weights, start=Fraction(0) if all(map(is_exact, self.given_weights)) else 0.0)
 
     def scaled(self, c: Scalar) -> "SignedAtomicMeasure":
         """c times the measure, sharing its coords and its reduction, whose weights scale as floats."""
-        out = SignedAtomicMeasure(self.basis, (self.coords, np.array([c * w for w in self._atoms.values()], object)))
-        if self._atoms:
+        out = SignedAtomicMeasure(self.basis, (self.coords, np.array([c * w for w in self.given_weights], object)))
+        if len(self.coords):
             c0, columns, m, weights = self.reduction()
             out._reduction = (c0, columns, m, _read_only(float(c) * weights))
         return out
 
     def plus(self, other: "SignedAtomicMeasure") -> "SignedAtomicMeasure":
         same_basis(self.basis, other.basis, "measure sum")
-        out = dict(self._atoms)
-        for k, w in other.atoms.items():
-            out[k] = out.get(k, 0) + w
-        return SignedAtomicMeasure(self.basis, out)
+        return SignedAtomicMeasure(self.basis, _merge(np.concatenate([self.coords, other.coords]),
+                                                      _weight_array(self.given_weights + other.given_weights)))
 
     def support_points(self) -> list[SupportPoint]:
-        pts = [SupportPoint(c, self.basis.value(c)) for c in self._atoms]
+        pts = [SupportPoint(c, self.basis.value(c)) for c in map(tuple, self.coords.tolist())]
         pts.sort(key=lambda p: (float(p.value), p.coords))
         return pts
 
@@ -324,10 +342,10 @@ class SignedAtomicMeasure:
         # type-strict: a law never equals the signed measure with the same atoms
         if type(other) is not type(self):
             return NotImplemented
-        return self.basis == other.basis and dict(self._atoms) == dict(other.atoms)
+        return self.basis == other.basis and dict(self.atoms) == dict(other.atoms)
 
     def __repr__(self):
-        return f"{type(self).__name__}(basis={self.basis.alphas}, {len(self._atoms)} atoms)"
+        return f"{type(self).__name__}(basis={self.basis.alphas}, {len(self.coords)} atoms)"
 
 
 class DiscreteLaw(SignedAtomicMeasure):
@@ -341,30 +359,27 @@ class DiscreteLaw(SignedAtomicMeasure):
     _weight_name = "mass"
 
     @staticmethod
-    def _checked(atoms: dict[Coords, Scalar]) -> dict[Coords, Scalar]:
-        """Drop zero-mass atoms and assert the probability-law invariants."""
-        if not atoms:
+    def _checked(coords: np.ndarray, masses: list) -> list[bool]:
+        """The mask of the nonzero masses, once the probability-law invariants hold."""
+        if not masses:
             raise ValueError("law has no atoms")
-        for coords, m in atoms.items():
+        for i, m in enumerate(masses):
             if m < 0:
-                raise NegativeMass(f"atom {coords} has negative mass {m}")
-        kept = {c: m for c, m in atoms.items() if m != 0}
-        if not kept:
+                raise NegativeMass(f"atom {tuple(coords[i].tolist())} has negative mass {m}")
+        keep = [m != 0 for m in masses]
+        if not any(keep):
             raise MassSumNotOne("all atoms have zero mass")
         try:
-            total = sum(kept.values())
+            total = sum(m for m, k in zip(masses, keep) if k)
         except OverflowError:  # an integer mass beyond the float range next to a float mass
             raise MassSumNotOne("masses sum beyond the float range, not 1") from None
         if abs(total - 1) > MASS_SUM_TOL:
             # str, not float(): an exact sum beyond the float range must not overflow here
             raise MassSumNotOne(f"masses sum to {total}, not 1")
-        return kept
-
-    def max_mass(self) -> float:
-        return float(max(self._atoms.values()))
+        return keep
 
     def as_measure(self) -> SignedAtomicMeasure:
-        return SignedAtomicMeasure(self.basis, self._atoms)
+        return SignedAtomicMeasure(self.basis, (self.coords, np.array(self.given_weights, dtype=object)))
 
     # -- factories ------------------------------------------------------------
 
@@ -423,8 +438,7 @@ class DiscreteLaw(SignedAtomicMeasure):
 
 def total_variation(m: SignedAtomicMeasure) -> float:
     """Total variation norm: the l1 sum of atom weights."""
-    atoms = m.atoms
-    return float(sum(abs(w) for w in atoms.values()))
+    return float(sum(abs(w) for w in m.given_weights))
 
 
 def convolve(m1, m2):
@@ -433,33 +447,19 @@ def convolve(m1, m2):
     Works for any mix of DiscreteLaw/SignedAtomicMeasure inputs; the result
     is a law only when both inputs are laws.  The coords of every pair are
     an outer sum of the coords arrays and the weights an outer product;
-    pairs of one sum are then merged once, adding their products in the
-    order of the pairs, so float weights give the floats of the pairwise
-    loop and exact weights stay exact.  The atoms come in the order in
-    which the pairs first reach them.
+    pairs of one sum are then merged once (_merge), adding their products
+    in the order of the pairs, so float weights give the floats of the
+    pairwise loop and exact weights stay exact.  The atoms come in the
+    order in which the pairs first reach them.
     """
     same_basis(m1.basis, m2.basis, "convolution")
     c1, c2 = m1.coords, m2.coords
     if any(c.dtype == object or c.min(initial=0) <= -2**62 or c.max(initial=0) >= 2**62 for c in (c1, c2)):
         c1, c2 = c1.astype(object), c2.astype(object)  # Python ints, where an int64 sum could wrap
     coords = (c1[:, None, :] + c2[None, :, :]).reshape(-1, m1.basis.d)
-    w1, w2 = (list(m.atoms.values()) for m in (m1, m2))
-    dtype = float if all(isinstance(w, float) for w in w1 + w2) else object  # exact weights stay Python numbers
-    products = np.multiply.outer(np.array(w1, dtype=dtype), np.array(w2, dtype=dtype)).reshape(-1)
-    # group equal rows: a stable lexicographic sort puts each group's first pair at its head
-    perm = np.lexsort(coords.T[::-1])
-    ranked = coords[perm]
-    head = np.ones(len(perm), dtype=bool)
-    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = perm[head]  # each atom's first pair
-    slot = np.empty(len(first), dtype=np.intp)
-    slot[np.argsort(first)] = np.arange(len(first))  # atoms numbered in the order the pairs reach them
-    where = np.empty(len(perm), dtype=np.intp)
-    where[perm] = slot[np.cumsum(head) - 1]
-    weights = np.zeros(len(first), dtype=products.dtype)
-    np.add.at(weights, where, products)  # unbuffered: each sum in the order of its pairs
-    return (type(m1) if type(m1) is type(m2) else SignedAtomicMeasure)(
-        m1.basis, (coords[np.sort(first)], weights))
+    w = _weight_array(m1.given_weights + m2.given_weights)
+    products = np.multiply.outer(w[:len(c1)], w[len(c1):]).reshape(-1)
+    return (type(m1) if type(m1) is type(m2) else SignedAtomicMeasure)(m1.basis, _merge(coords, products))
 
 
 @dataclass(frozen=True)
@@ -481,7 +481,7 @@ def module_generator(law: DiscreteLaw) -> ModuleDescription:
         raise IrrationalSupport(
             "module generator needs rational support; declare a FrequencyBasis instead"
         )
-    values = [law.basis.value(c) for c in law.atoms]
+    values = [law.basis.value(c) for c in law.coords.tolist()]
     return ModuleDescription(frac_gcd(values))
 
 

@@ -155,7 +155,7 @@ class QuasiTriplet:
             lambdas = (list(lambdas), np.array(list(lambdas.values()), dtype=float))
         self.levy_measure = lambdas if isinstance(lambdas, SignedAtomicMeasure) else SignedAtomicMeasure(basis, lambdas)
         same_basis(basis, self.levy_measure.basis, "triplet weights")
-        if (0,) * basis.d in self.levy_measure.atoms:
+        if (self.levy_measure.coords == 0).all(axis=1).any():
             raise ValueError("zero frequency must not be stored; its weight is derived")
         self.tail_bound = float(tail_bound)
         self.diagnostics = diagnostics or {}
@@ -185,7 +185,7 @@ class QuasiTriplet:
 
     def __repr__(self):
         return (
-            f"QuasiTriplet(gamma={self.gamma_coords}, {len(self.lambdas)} frequencies, "
+            f"QuasiTriplet(gamma={self.gamma_coords}, {len(self.levy_measure.coords)} frequencies, "
             f"tail<={self.tail_bound:.2e})"
         )
 
@@ -429,7 +429,7 @@ def gamma_tau(triplet: QuasiTriplet, tau: float) -> float:
     if not tau > 0:
         raise NonpositiveTau(f"tau must be positive, got {tau}")
     total = float(triplet.gamma_value())
-    for u, lam in zip(triplet.levy_measure.support_floats().tolist(), triplet.lambdas.values()):
+    for u, lam in zip(triplet.levy_measure.support_floats().tolist(), triplet.levy_measure.given_weights):
         total += lam * math.sin(tau * u) / tau
     return total
 
@@ -461,7 +461,7 @@ class SpectralFunction:
 
 
 def levy_spectral_function(triplet: QuasiTriplet) -> SpectralFunction:
-    return SpectralFunction(zip(triplet.levy_measure.support_floats().tolist(), triplet.lambdas.values()))
+    return SpectralFunction(zip(triplet.levy_measure.support_floats().tolist(), triplet.levy_measure.given_weights))
 
 
 # --- support truncation helper ----------------------------------------------------
@@ -476,7 +476,7 @@ def truncate_renormalize(law: DiscreteLaw, n_atoms: int) -> tuple[DiscreteLaw, f
     """
     if n_atoms < 1:
         raise ValueError("keep at least one atom")
-    ranked = sorted(law.atoms.items(), key=lambda kv: (-float(kv[1]), kv[0]))
+    ranked = sorted(zip(law.coords.tolist(), law.given_weights), key=lambda kv: (-float(kv[1]), kv[0]))
     kept = ranked[:n_atoms]
     total = sum(m for _, m in kept)
     dropped = 1 - total if is_exact(total) else max(0.0, 1.0 - float(total))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from quasilevy import DiscreteLaw, FrequencyBasis
+from quasilevy import DiscreteLaw, DuplicateAtom, FrequencyBasis
 
 
 def mercator_lambdas(rho: float, kmax: int) -> dict[int, float]:
@@ -249,3 +249,28 @@ def law_from_values(value_mass_pairs) -> DiscreteLaw:
 def law_from_lattice(masses: dict, offset=0, span=1) -> DiscreteLaw:
     """DiscreteLaw.from_lattice in Fraction arithmetic: the values offset + span * l."""
     return law_from_values([(Fraction(offset) + Fraction(span) * l, m) for l, m in masses.items()])
+
+
+# -- the dict carrier: the atom semantics the array carrier keeps --------------------
+
+
+def dict_atoms(pairs, law: bool = False) -> dict:
+    """The atoms of (coords, weight) pairs as a dict in input order.
+
+    DuplicateAtom names the first key seen twice; a law drops its zero masses.
+    """
+    out: dict = {}
+    for coords, w in pairs:
+        key = tuple(int(c) for c in coords)
+        if key in out:
+            raise DuplicateAtom(f"atom {key} listed twice")
+        out[key] = w
+    return {c: w for c, w in out.items() if w != 0} if law else out
+
+
+def dict_plus(a: dict, b: dict) -> dict:
+    """a + b by the dict loop: the atoms of a in order, then those new in b."""
+    out = dict(a)
+    for key, w in b.items():
+        out[key] = out.get(key, 0) + w
+    return out

@@ -18,6 +18,7 @@ from quasilevy import (
     conv_power,
     convolve,
     convolve_powers,
+    extract_triplet,
     is_infinitely_divisible,
     reconstruct_law,
     total_variation,
@@ -404,6 +405,45 @@ class TestSharedReduction:
         reconstruct_law(trip)
         conv_power(trip, Fraction(1, 2))
         assert [id(m) for m in reduced] == [id(law), id(trip.levy_measure)]
+
+    def test_a_round_trip_builds_no_atoms_mapping(self, monkeypatch):
+        # every layer reads the stored arrays; the atoms mapping is made only for a caller who reads it
+        read = []
+        original = SignedAtomicMeasure.atoms
+
+        def spy(measure):
+            read.append(measure)
+            return original.fget(measure)
+
+        monkeypatch.setattr(SignedAtomicMeasure, "atoms", property(spy))
+        laws = [DiscreteLaw.from_lattice({0: 0.6, 1: 0.25, 3: 0.15}),
+                DiscreteLaw.from_lattice({0: Fraction(7, 10), 10**20: Fraction(1, 5), 2 * 10**20: Fraction(1, 10)}),
+                DiscreteLaw(FrequencyBasis((1, math.sqrt(2))), {(0, 0): 0.8, (1, 0): 0.1, (0, 1): 0.1}),
+                DiscreteLaw(FrequencyBasis((1, 2)), {(0, 0): 0.6, (1, 0): 0.1, (0, 1): 0.2, (4, -1): 0.1})]
+        for law in laws:
+            certify_separation(law)
+            trip = extract_triplet(law)
+            reconstruct_law(trip)
+            conv_power(trip, Fraction(1, 2))
+        assert not read
+
+
+class TestRationalBasisSeries:
+    """compound_exp on the basis (1, 2), where frequencies of one value are merged before the series.
+
+    The residuals are pinned: a series run on the unmerged weights takes
+    the norm of the weights frequency by frequency, and so understates the
+    roundoff term (3.7819e-13, 1.3823e-13 and 1.5528e-13 here).
+    """
+
+    @pytest.mark.parametrize("lambdas, residual", [
+        ({(1, 0): 0.1, (-1, 1): 0.05, (0, 1): 0.02}, 3.788559920772331e-13),
+        ({(2, 0): 0.1, (0, 1): 0.05}, 1.3855901752755818e-13),
+        ({(1, 1): 0.2, (3, 0): 0.1, (-1, 0): 0.01}, 1.5786975250988274e-13),
+    ])
+    def test_residual_pinned(self, lambdas, residual):
+        _, got = compound_exp(QuasiTriplet(FrequencyBasis((1, 2)), (0, 0), lambdas))
+        assert got == residual
 
 
 class TestInfinitelyDivisible:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasilevy import (
     DiscreteLaw,
@@ -14,6 +15,7 @@ from quasilevy import (
     QuasiTriplet,
     SignedAtomicMeasure,
     convolve,
+    jsonio,
     module_generator,
     total_variation,
 )
@@ -289,3 +291,99 @@ class TestLatticeForm:
         assert reduced(law)[2] == {(0,): 0.5, (1,): 0.5}
         law = DiscreteLaw(FrequencyBasis((0.5, 1.0)), {(0, 0): 0.5, (2, 0): 0.25, (0, 1): 0.25})
         assert len(reduced(law)[2]) == 3
+
+    def test_rational_basis_merges_exactly(self):
+        # (2, 0), (0, 1) and (4, -1) all name 2 on (1, 2): their masses are added as exact
+        # rationals and rounded once, where a float sum would give 0.6000000000000001
+        law = DiscreteLaw(FrequencyBasis((1, 2)), {(0, 0): 0.4, (2, 0): 0.1, (0, 1): 0.2, (4, -1): 0.3})
+        assert law.reduction()[3].tolist() == [0.4, 0.6]
+        assert 0.1 + 0.2 + 0.3 == 0.6000000000000001
+
+
+# -- the array carrier against the dict reference --------------------------------------
+
+WIDE = st.integers(2**63, 2**66) | st.integers(-(2**66), -(2**63) - 1)  # beyond int64
+
+
+@st.composite
+def carrier_inputs(draw, law: bool, d: int):
+    """(pairs, input, form): pairs as drawn, repeats included, and the same atoms as a mapping, pairs or arrays."""
+    entry = st.integers(-50, 50) | WIDE if draw(st.booleans()) else st.integers(-50, 50)
+    form = draw(st.sampled_from(["mapping", "pairs", "arrays"]))
+    keys = draw(st.lists(st.tuples(*[entry] * d), min_size=int(law), max_size=12, unique=form == "mapping"))
+    if keys and form != "mapping" and draw(st.booleans()):  # a key listed twice
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+    if draw(st.booleans()):
+        scalar = st.fractions(-5, 5, max_denominator=12) | st.integers(-5, 5) if not law else \
+            st.just(Fraction(0)) | st.fractions(Fraction(1, 12), 5, max_denominator=12)
+    else:
+        scalar = st.floats(-5, 5) if not law else st.just(0.0) | st.floats(0.01, 5)
+    weights = draw(st.lists(scalar, min_size=len(keys), max_size=len(keys)))
+    if law:
+        total = sum(weights)
+        if not total:
+            weights[0], total = weights[0] + 1, 1
+        weights = [w / total for w in weights]
+    pairs = list(zip(keys, weights))
+    if form == "mapping":
+        return pairs, dict(pairs), form
+    if form == "pairs":
+        return pairs, pairs, form
+    exact = any(not isinstance(w, float) for w in weights)
+    coords = np.array(keys, dtype=object if any(abs(c) >= 2**63 for k in keys for c in k) else None)
+    return pairs, (coords, np.array(weights, dtype=object if exact else float)), form
+
+
+def build_or_error(kind, basis, atoms):
+    try:
+        return kind(basis, atoms)
+    except DuplicateAtom as exc:
+        return str(exc)
+
+
+def reference_or_error(pairs, law: bool):
+    try:
+        return oracles.dict_atoms(pairs, law)
+    except DuplicateAtom as exc:
+        return str(exc)
+
+
+def same_atoms(measure, ref: dict) -> None:
+    """Atoms, their order and their types, the stored arrays and the float view all as the dict reference has them."""
+    assert list(measure.atoms.items()) == list(ref.items())
+    assert [type(w) for w in measure.atoms.values()] == [type(w) for w in ref.values()]
+    assert measure.coords.tolist() == [list(c) for c in ref]
+    assert measure.given_weights == tuple(ref.values())
+    assert measure.weights.tolist() == [float(w) for w in ref.values()]
+
+
+@st.composite
+def two_carriers(draw):
+    d, law = draw(st.integers(1, 3)), draw(st.booleans())
+    basis = draw(st.sampled_from([FrequencyBasis((1, 2, 3)[:d]), FrequencyBasis((1, math.sqrt(2), math.sqrt(3))[:d])]))
+    return law, basis, draw(carrier_inputs(law, d)), draw(carrier_inputs(law, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_carriers())
+def test_array_carrier_matches_the_dict_reference(case):
+    law, basis, *inputs = case
+    kind = DiscreteLaw if law else SignedAtomicMeasure
+    built, refs = [], []
+    for pairs, atoms, _ in inputs:
+        ref, measure = reference_or_error(pairs, law), build_or_error(kind, basis, atoms)
+        if isinstance(ref, str):
+            assert measure == ref  # the same DuplicateAtom message
+            continue
+        same_atoms(measure, ref)
+        assert total_variation(measure) == float(sum(abs(w) for w in ref.values()))
+        if ref:
+            assert measure.reduction()[0] == min(ref)
+        doc = jsonio.law_to_json(measure) if law else jsonio.measure_to_json(measure)
+        value = "mass" if law else "weight"
+        assert doc["atoms"] == [{"coords": list(c), value: jsonio.scalar_to_json(w)} for c, w in sorted(ref.items())]
+        built.append(measure)
+        refs.append(ref)
+    if len(built) == 2:
+        same_atoms(built[0].plus(built[1]), oracles.dict_plus(*refs))
+        same_atoms(convolve(*built), oracles.pairwise_convolve(*refs))
