@@ -74,6 +74,7 @@ from .spectral import (
     cf_from_triplet,
     distinguished_log,
     extract_triplet,
+    extract_triplets,
     gamma_tau,
     levy_spectral_function,
     mean_motion,

@@ -293,6 +293,14 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     tested after the root sample, after the frontier and after each round's
     samples, before the zero test, as a proof outranks a sample at most
     zero_tol.  Most laws with an atom above half the mass end at the root.
+    It is tested first against the sum of the masses, rounded up: |phi~|
+    never exceeds that sum, so when mu_0 reaches target_gap times it no
+    sample could change the verdict, and the law is certified before any
+    is taken.  best_inf_estimate is then the modulus at theta = 0, the sum
+    of the masses, and the search_log is that of a certificate at the root
+    (cells 1, bound "dominant").  At the gap 2^-52 of extraction's
+    spectral.PROOF_OF_SEPARATION this covers every law whose floor passes
+    about 2.2e-16 times its total mass.
 
     The root centre (pi, ..., pi) is sampled first, and a zero there is
     reported at once (the symmetric laws' zeros sit on it).  The search then
@@ -352,8 +360,18 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0,
                         "frontier": {"depth": 0, "cells": 0}, "rounds": 0, "bound": "dominant"},
         )
-    verdict, mu, best_ub, best_theta, log = _branch_and_bound(reduced.astype(float), masses, params,
-                                                              dominant_mass_bound(law))
+    coords = reduced.astype(float)
+    mu_0 = dominant_mass_bound(law)
+    if mu_0 is not None:
+        total = math.fsum(masses.tolist())  # |phi~(0)|, which no sample exceeds
+        if mu_0 >= params.target_gap * _round_up(total, len(masses)):
+            margin = rounding_margin(coords - coords[np.argmax(masses)], masses)  # as the search would take it
+            return SeparationCertificate(
+                verdict="certified", mu=mu_0, best_inf_estimate=total, independence_assumed=independent,
+                search_log={"cells": 1, "max_depth": 0, "rounding_margin": margin, "frontier": {"depth": 0, "cells": 0},
+                            "rounds": 0, "slack": total - mu_0, "bound": "dominant", "rank": rank},
+            )
+    verdict, mu, best_ub, best_theta, log = _branch_and_bound(coords, masses, params, mu_0)
     log = dict(log, rank=rank)
     if verdict != "zero_found":
         return SeparationCertificate(verdict=verdict, mu=mu, best_inf_estimate=best_ub, depth=log["max_depth"],

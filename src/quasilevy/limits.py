@@ -5,6 +5,11 @@ checkers see a finite prefix and therefore emit *trend* verdicts under
 declared finite-sample readings (configurable thresholds), never proofs
 about the unseen tail.  Every report says so.
 
+The members of a prefix, and the limit of a convergence check, are
+extracted together: spectral.extract_triplets certifies each in turn and
+then runs their grids as stacks, one extraction core for all of them.
+Each member's triplet is the one it gets alone.
+
 Conventions: triplets of different members are aligned by extending each
 weight map with zeros off its own frequency set; the shared frequency
 universe is enumerated deterministically by (|u|, sign, coords) with
@@ -22,7 +27,7 @@ import numpy as np
 from .charfn import SeparationCertificate, SeparationParams, certify_separation
 from .errors import LimitNotSeparated, NotSeparated, QuasiLevyError, TripletFailed
 from .measures import Coords, DiscreteLaw, same_basis
-from .spectral import QuasiTriplet, TripletParams, extract_triplet
+from .spectral import QuasiTriplet, TripletParams, extract_triplet, extract_triplets
 from .spectral import triplet_lattice, triplet_multibasis  # noqa: F401  hooked here by the benchmark
 
 FINITE_SAMPLE_NOTE = "finite-sample evidence over the given prefix, not a proof about the sequence"
@@ -87,14 +92,17 @@ def frequency_universe(triplets: Sequence[QuasiTriplet]) -> list[Coords]:
     return [(0,) * triplets[0].basis.d] + ordered
 
 
-def _extract_all(seq: LawSequence, params: Optional[TripletParams]) -> list[QuasiTriplet]:
-    out = []
-    for i, law in enumerate(seq.laws, start=1):
-        try:
-            out.append(triplet_of(law, params))
-        except QuasiLevyError as exc:
-            raise TripletFailed(i, exc) from exc
-    return out
+def _extract_all(laws: Sequence[DiscreteLaw], params: list[Optional[TripletParams]],
+                 first: int = 1) -> list[QuasiTriplet]:
+    """The triplets of laws, extracted in one batch.
+
+    TripletFailed names the lowest failing index, counting from first.
+    """
+    found = extract_triplets(laws, params)
+    for i, trip in enumerate(found, start=first):
+        if isinstance(trip, QuasiLevyError):
+            raise TripletFailed(i, trip) from trip
+    return found
 
 
 def _tail_window(values: Sequence[float]) -> list[float]:
@@ -150,8 +158,8 @@ def check_convergence(
     tail and (ii) the aligned l1 distances of the weights, then
     cross-checks the direction against the raw TV distances; a definitive
     verdict is only emitted when both trends agree.  The limit is certified
-    once, with the separation parameters given here, inside the
-    extraction of its triplet.
+    once, with the separation parameters given here, and extracted in one
+    batch with the members.
     """
     if thresholds is None:
         thresholds = Thresholds()
@@ -159,14 +167,13 @@ def check_convergence(
         raise ValueError("check_convergence needs a limit law")
     limit_params = replace(params or TripletParams(), separation=separation)
     try:
-        limit_triplet = triplet_of(seq.limit, limit_params)
-    except NotSeparated as exc:
-        raise LimitNotSeparated(
-            f"limit law is not certified separated from zero (verdict {exc.certificate.verdict})"
-        ) from exc
-    except QuasiLevyError as exc:
-        raise TripletFailed(0, exc) from exc
-    triplets = _extract_all(seq, params)
+        limit_triplet, *triplets = _extract_all([seq.limit, *seq.laws], [limit_params] + [params] * len(seq), first=0)
+    except TripletFailed as exc:
+        if exc.index == 0 and isinstance(exc.cause, NotSeparated):
+            raise LimitNotSeparated(
+                f"limit law is not certified separated from zero (verdict {exc.cause.certificate.verdict})"
+            ) from exc.cause
+        raise
 
     gammas = [t.gamma_coords for t in triplets]
     target = limit_triplet.gamma_coords
@@ -244,7 +251,7 @@ def check_relative_compactness(
     """
     if thresholds is None:
         thresholds = Thresholds()
-    triplets = _extract_all(seq, params)
+    triplets = _extract_all(seq.laws, [params] * len(seq))
 
     gammas = [t.gamma_coords for t in triplets]
     distinct: list[tuple[int, ...]] = []

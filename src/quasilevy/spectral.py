@@ -15,6 +15,14 @@ reconstruction-residual guards all pass.  The shift is gamma = c0 + B w,
 an exact integer combination of the basis, and a reduced frequency k is
 the frequency B k, with an l1 tail that is tracked explicitly.  Both are
 handed to the triplet as arrays, c0 + w @ B and k @ B.
+
+The core works on a batch.  extract_triplets takes a list of laws; the
+pending grids of one rank r and one size n are stacked along a leading
+batch axis, (b, n, ..., n), in stacks of at most GRID_BUDGET points, the
+most one grid may have, and one pass runs the FFTs and elementwise steps
+on the whole stack.  Only the members whose pass failed a guard go on,
+on grids of size 2n.  Sums stay per member, so each law gets the bits it
+gets alone; extract_triplet is the batch of one.
 """
 
 from __future__ import annotations
@@ -22,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .charfn import SeparationParams, cf_eval, exp_sum, require_separated
-from .errors import InvalidArgument, NonConvergent, NonpositiveTau, StepTooCoarse, ZeroOnPath
+from .errors import InvalidArgument, NonConvergent, NonpositiveTau, QuasiLevyError, StepTooCoarse, ZeroOnPath
 from .measures import (Coords, DiscreteLaw, FrequencyBasis, Scalar, SignedAtomicMeasure, _normalize_coords,
                        is_exact, lattice_map, same_basis, total_variation)
 
@@ -215,7 +223,8 @@ class TripletParams:
     guards, and the reconstruction residual all pass, or n_max is
     exceeded; a grid of more than GRID_BUDGET points raises NonConvergent.
     A d >= 2 start is small because a pass costs n^d: the alias guard
-    doubles the grid for laws whose weights decay slowly.
+    doubles the grid for laws whose weights decay slowly.  tol must be
+    finite and positive, n_init (when given) and n_max at least 1.
     """
 
     n_init: Optional[int] = None
@@ -223,108 +232,218 @@ class TripletParams:
     n_max: int = 1 << 17
     separation: Optional[SeparationParams] = None
 
+    def __post_init__(self):
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise InvalidArgument(f"tol must be finite and positive, got {self.tol}")
+        if self.n_init is not None and self.n_init < 1:
+            raise InvalidArgument(f"n_init must be positive, got {self.n_init}")
+        if self.n_max < 1:
+            raise InvalidArgument(f"n_max must be positive, got {self.n_max}")
+
     def initial_n(self, d: int, spread: int) -> int:
         n = self.n_init if self.n_init is not None else (1024 if d == 1 else 64)
-        if n < 1:
-            raise InvalidArgument(f"n_init must be positive, got {n}")
         while n < 4 * (spread + 1):
             n *= 2
         return n
 
 
-# --- one extraction core for every d ---------------------------------------------
+# --- one extraction core for every d, on a stack of grids --------------------------
 
 
-def _extract_pass(q: np.ndarray, params: TripletParams):
-    """One extraction attempt on the n^d grid q of masses placed at coords mod n.
+def _grid_fft(transform, a: np.ndarray) -> np.ndarray:
+    """fftn or ifftn of each grid of the stack a (b, n, ..., n), as `transform` along each grid axis.
 
-    Returns (None, result) when every guard passes, else (guard, value)
-    naming the check that forces the grid to double: "phase_jump", "imag",
-    "alias" or "residual".
+    The axes go last first, the order np.fft.fftn takes, so every grid
+    gets the bits of np.fft.fftn on it alone.
     """
-    n, d = q.shape[0], q.ndim
-    g = n ** d * np.fft.ifftn(q)  # g(theta) = sum_c q_c e^(i <c, theta>), exact on the grid
+    for axis in range(a.ndim - 1, 0, -1):
+        a = transform(a, axis=axis)
+    return a
+
+
+def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
+    """One extraction attempt on each grid of the stack q (b, n, ..., n) of masses placed at coords mod n.
+
+    tol holds each member's TripletParams.tol.  Returns one outcome per
+    member: (None, result) when every guard passes, (guard, value) naming
+    the check that forces its grid to double ("phase_jump", "imag",
+    "alias" or "residual"), or the QuasiLevyError it raised.  A member
+    leaves the stack at the guard it fails.  Elementwise steps and the FFTs
+    along the grid axes run on the whole stack and give each member the
+    bits of its grid alone; every sum is taken per member, with the
+    expression of a single grid, as a reduction along a stacked axis may
+    add in another order.
+    """
+    d, n = q.ndim - 1, q.shape[1]
+    out = [None] * len(q)
+    rows = np.arange(len(q))  # the member of each stacked grid
+
+    g = _grid_fft(np.fft.ifft, q)
+    g *= n ** d  # g(theta) = sum_c q_c e^(i <c, theta>), exact on the grid
     mods = np.abs(g)
-    if float(mods.min()) < 1e-13:
-        raise ZeroOnPath("torus lift vanishes on the sampling grid")
-    dphis = [np.angle(np.roll(g, -1, axis=j) / g) for j in range(d)]
-    jump = max(float(np.max(np.abs(dphi))) for dphi in dphis)
-    if jump >= 0.5 * math.pi:
-        return "phase_jump", jump
+    live = ~(mods.reshape(len(q), -1).min(axis=1) < 1e-13)
+    for r in rows[~live]:
+        out[r] = ZeroOnPath("torus lift vanishes on the sampling grid")
+    if not live.all():
+        rows, q, tol, g, mods = rows[live], q[live], tol[live], g[live], mods[live]
+    dphis = []
+    for j in range(d):
+        step = np.roll(g, -1, axis=1 + j)
+        dphis.append(np.angle(np.divide(step, g, out=step)))
+    del g, step
+    jump = np.max([np.abs(dphi).reshape(len(rows), -1).max(axis=1) for dphi in dphis], axis=0)
+    live = ~(jump >= 0.5 * math.pi)
+    for r, value in zip(rows[~live], jump[~live].tolist()):
+        out[r] = ("phase_jump", value)
 
-    # Windings from the axis loops through the origin.  The continuous phase
-    # runs from the origin along the last axis, then the one before, and so on:
-    # an exclusive cumsum along axis j over the slab where axes < j sit at 0.
-    axis = TWO_PI * np.arange(n) / n
-    windings = []
-    phase = np.zeros(q.shape)
-    theta_sum = np.zeros(q.shape)
+    # Windings from the axis loops through the origin of each grid.
+    windings = np.zeros((len(rows), d), dtype=int)
+    for s in np.flatnonzero(live):
+        try:
+            windings[s] = [_turns(dphi[s][tuple(slice(None) if i == j else 0 for i in range(d))])
+                           for j, dphi in enumerate(dphis)]
+        except StepTooCoarse as exc:
+            out[rows[s]], live[s] = exc, False
+    if not live.all():
+        rows, q, tol, mods, windings = rows[live], q[live], tol[live], mods[live], windings[live]
+        dphis = [dphi[live] for dphi in dphis]
+    if not len(rows):
+        return out
+
+    # The continuous phase runs from the origin along the last axis, then the one
+    # before, and so on: an exclusive cumsum along axis j over the slab where axes < j sit at 0.
+    shape = q.shape
+    phase = np.zeros(shape)
     for j, dphi in enumerate(dphis):
-        windings.append(_turns(dphi[tuple(slice(None) if i == j else 0 for i in range(d))]))
-        shape = [1] * d
-        shape[j] = n
-        theta_sum += windings[j] * axis.reshape(shape)
-        slab = dphi[(slice(0, 1),) * j]
-        lead = (slice(None),) * j
+        slab = dphi[(slice(None),) + (slice(0, 1),) * j]
+        lead = (slice(None),) * (j + 1)
         run = np.zeros(slab.shape)
-        np.cumsum(slab[lead + (slice(None, -1),)], axis=j, out=run[lead + (slice(1, None),)])
+        np.cumsum(slab[lead + (slice(None, -1),)], axis=j + 1, out=run[lead + (slice(1, None),)])
         phase += run
-    h = np.log(mods) + 1j * (phase - theta_sum)
+    del dphis, slab, run
+    theta_sum = None  # sum_j w_j theta_j; left out when every winding is 0, as its zeros change no bit of a result
+    if windings.any():
+        axis = TWO_PI * np.arange(n) / n
+        theta_sum = np.zeros(shape)
+        for j in range(d):
+            theta_j = axis.reshape([n if i == j else 1 for i in range(d)])
+            theta_sum += windings[:, j].reshape((-1,) + (1,) * d) * theta_j
+        phase -= theta_sum
+    h = 1j * phase
+    h += np.log(mods)
+    del mods, phase
 
-    coeffs = np.fft.fftn(h) / n ** d
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    zero = np.ones(q.shape, dtype=bool)
-    outer = np.zeros(q.shape, dtype=bool)
-    for k in np.meshgrid(*([freqs] * d), indexing="ij", sparse=True):
-        zero &= k == 0
-        outer |= np.abs(k) > (3 * n) // 8
-    nonzero = ~zero
-
-    max_imag = float(np.max(np.abs(coeffs.imag[nonzero]), initial=0.0))
-    if max_imag > REAL_PART_TOL:
-        return "imag", max_imag  # phase-unwrap fault
-    alias_mass = float(np.sum(np.abs(coeffs[outer & nonzero])))
-    if alias_mass > params.tol:
-        return "alias", alias_mass
-
-    keep = nonzero & (np.abs(coeffs) >= LAMBDA_DROP_TOL)
-    dropped = float(np.sum(np.abs(coeffs[nonzero & ~keep])))
+    coeffs = _grid_fft(np.fft.fft, h)
+    coeffs /= n ** d
+    del h
+    flat = coeffs.reshape(len(rows), -1)  # a view: the zero frequency of each grid is its first entry
+    imag = np.abs(flat.imag)
+    imag[:, 0] = 0.0
+    max_imag = imag.max(axis=1).tolist()
+    del imag
+    freqs = np.arange(n)  # np.fft.fftfreq(n, 1 / n) as integers
+    freqs[(n + 1) // 2:] -= n
+    far = np.abs(freqs) > (3 * n) // 8
+    outer = far  # a frequency vector with some |k_j| > 3n/8, of no zero frequency
+    for _ in range(1, d):
+        outer = np.logical_or.outer(outer, far)
+    mags = np.abs(coeffs)
+    keep = mags >= LAMBDA_DROP_TOL
+    keep.reshape(len(rows), -1)[:, 0] = False
+    drop = ~keep
+    drop.reshape(len(rows), -1)[:, 0] = False
     masked = np.where(keep, coeffs.real, 0.0).astype(complex)
-    masked[(0,) * d] = -float(np.sum(coeffs.real[keep]))
-    g_rec = np.exp(n ** d * np.fft.ifftn(masked) + 1j * theta_sum)
-    residual = float(np.sum(np.abs(np.fft.fftn(g_rec) / n ** d - q)))
-    if residual > params.tol:
-        return "residual", residual
+    live = np.ones(len(rows), dtype=bool)
+    passed = []  # (tail, max_imag) of each member that clears the imag and alias guards
+    for s, r in enumerate(rows):
+        if max_imag[s] > REAL_PART_TOL:
+            out[r], live[s] = ("imag", max_imag[s]), False  # phase-unwrap fault
+            continue
+        alias_mass = float(np.sum(mags[s][outer]))
+        if alias_mass > tol[s]:
+            out[r], live[s] = ("alias", alias_mass), False
+            continue
+        passed.append((float(np.sum(mags[s][drop[s]])) + alias_mass, max_imag[s]))
+        masked[(s,) + (0,) * d] = -float(np.sum(coeffs.real[s][keep[s]]))
+    del mags, drop
+    if not live.all():
+        rows, q, tol, windings, coeffs, keep, masked = (
+            rows[live], q[live], tol[live], windings[live], coeffs[live], keep[live], masked[live])
+        theta_sum = None if theta_sum is None else theta_sum[live]
+    if not len(rows):
+        return out
 
-    weights = (freqs[np.argwhere(keep)], coeffs.real[keep])
-    return None, (tuple(windings), weights, dropped + alias_mass, residual, max_imag)
+    g_rec = _grid_fft(np.fft.ifft, masked)
+    del masked
+    g_rec *= n ** d
+    if theta_sum is not None:
+        g_rec += 1j * theta_sum
+    del theta_sum
+    np.exp(g_rec, out=g_rec)
+    gap = _grid_fft(np.fft.fft, g_rec)
+    del g_rec
+    gap /= n ** d
+    gap -= q
+    gap = np.abs(gap)
+    for s, (r, (tail, imag_max)) in enumerate(zip(rows, passed)):
+        residual = float(np.sum(gap[s]))
+        if residual > tol[s]:
+            out[r] = ("residual", residual)
+        else:
+            weights = (freqs[np.argwhere(keep[s])], coeffs.real[s][keep[s]])
+            out[r] = (None, (tuple(windings[s].tolist()), weights, tail, residual, imag_max))
+    return out
 
 
-def _extract(coords: np.ndarray, masses: np.ndarray, params: TripletParams, input_tv_error: float):
-    """Double the grid from initial_n until a pass clears every guard.
+def _extract_grids(members: list, params: list) -> list:
+    """Run every member's passes, a stack of grids at a time, until each clears every guard or fails.
 
-    The masses sit at the integer coords (n, d).  Returns the windings,
-    the weights as an (n, d) array of integer frequency vectors and their
-    values, the tail bound, and the diagnostics, whose "passes" lists
-    every rejected pass as {n, guard, value}.
+    members holds each member's integer coords (K, r) and masses (K,).
+    The pending members are grouped by (r, n); a group runs as stacks of
+    at most GRID_BUDGET points, and only the members whose pass failed a
+    guard go on, on grids twice as fine.  Returns per member (windings,
+    (frequency vectors (k, r), their weights), tail, diagnostics), or the
+    QuasiLevyError it raised; diagnostics["passes"] lists its rejected
+    passes as {n, guard, value}.
     """
-    d = coords.shape[1]
-    n = params.initial_n(d, int((coords.max(axis=0) - coords.min(axis=0)).max()))
-    passes = []
-    while n <= params.n_max:
-        if n ** d > GRID_BUDGET:
-            raise NonConvergent(f"grid {n}^{d} exceeds the grid budget of {GRID_BUDGET} points")
-        q = np.zeros([n] * d)
-        np.add.at(q, tuple((coords % n).T), masses)
-        guard, value = _extract_pass(q, params)
-        if guard is None:
-            windings, weights, tail, residual, max_imag = value
-            tail += _truncation_tail(input_tv_error, float(np.abs(weights[1]).sum()))
-            diagnostics = {"grid_n": n, "residual": residual, "max_imag": max_imag, "passes": passes}
-            return windings, weights, tail, diagnostics
-        passes.append({"n": n, "guard": guard, "value": value})
-        n *= 2
-    raise NonConvergent(f"triplet extraction did not converge by n_max={params.n_max}")
+    out = [None] * len(members)
+    passes = [[] for _ in members]
+    grid_n = [p.initial_n(m.shape[1], int((m.max(axis=0) - m.min(axis=0)).max()))
+              for (m, _), p in zip(members, params)]
+    pending = range(len(members))
+    while pending:
+        groups: dict = {}
+        for k in pending:
+            n, d = grid_n[k], members[k][0].shape[1]
+            if n > params[k].n_max:
+                out[k] = NonConvergent(f"triplet extraction did not converge by n_max={params[k].n_max}")
+            elif n ** d > GRID_BUDGET:
+                out[k] = NonConvergent(f"grid {n}^{d} exceeds the grid budget of {GRID_BUDGET} points")
+            else:
+                groups.setdefault((d, n), []).append(k)
+        pending = []
+        for (d, n), group in groups.items():
+            per_stack = GRID_BUDGET // n ** d
+            for lo in range(0, len(group), per_stack):
+                stack = group[lo:lo + per_stack]
+                q = np.zeros((len(stack),) + (n,) * d)
+                for s, k in enumerate(stack):
+                    coords, masses = members[k]
+                    np.add.at(q[s], tuple((coords % n).T), masses)
+                tol = np.array([params[k].tol for k in stack])
+                for k, outcome in zip(stack, _extract_pass(q, tol)):
+                    if isinstance(outcome, QuasiLevyError):
+                        out[k] = outcome
+                    elif outcome[0] is None:
+                        windings, weights, tail, residual, max_imag = outcome[1]
+                        out[k] = (windings, weights, tail,
+                                  {"grid_n": n, "residual": residual, "max_imag": max_imag, "passes": passes[k]})
+                    else:
+                        passes[k].append({"n": n, "guard": outcome[0], "value": outcome[1]})
+                        grid_n[k] = 2 * n
+                        pending.append(k)
+                del q
+    return out
 
 
 def _truncation_tail(input_tv_error: float, ell1: float) -> float:
@@ -345,43 +464,93 @@ def _truncation_tail(input_tv_error: float, ell1: float) -> float:
     return -math.log1p(-qv)
 
 
+def extract_triplets(
+    laws: Sequence[DiscreteLaw],
+    params: Sequence[Optional[TripletParams]],
+    input_tv_error: float = 0.0,
+) -> list[QuasiTriplet | QuasiLevyError]:
+    """Triplets of separated laws, over any basis, extracted together.
+
+    params holds one TripletParams (or None, the defaults) per law, as
+    many as there are laws (ValueError otherwise).  Each law is certified
+    first, in order, under its params.separation when it is given.
+    Otherwise the certificate only proves inf |f| > 0, at the tiny gap of
+    PROOF_OF_SEPARATION: it is not tightened toward the sampled infimum,
+    so its mu may lie far below it (certify_separation, or check-s, gives
+    the tight one).  Either way it is kept as diagnostics["certificate"].
+    The extraction runs on each law's stored reduction c0 + B Z^r, the
+    masses at m, so a grid tracks the spread of m and has r axes.  The grids of laws of one rank r and one grid size n
+    are stacked along a leading batch axis, each stack within GRID_BUDGET
+    points, and pass through one extraction core together; only the laws
+    whose pass failed a guard go on to the next size.  A law's triplet does
+    not depend on the laws beside it: it is bit for bit the one it gets
+    alone.  gamma = c0 + B w with w the winding numbers of the axis loops,
+    and the weight of the reduced frequency k is lambda_(B k).
+    input_tv_error is the total-variation error of an upstream support
+    truncation, the same for every law; it enters tail_bound through the
+    Wiener-norm log bound.  diagnostics["lattice"] holds (c0, columns of B).
+
+    Returns one entry per law, in order: its QuasiTriplet, or the
+    QuasiLevyError its certification or extraction raised.  A law that
+    fails does not stop the others.
+    """
+    params = [TripletParams() if p is None else p for p in params]
+    out: list = [None] * len(laws)
+    certs, grids = {}, {}  # by law index: its certificate; the laws of rank >= 1 to extract
+    for k, (law, p) in enumerate(zip(laws, params, strict=True)):
+        try:
+            certs[k] = require_separated(law, PROOF_OF_SEPARATION if p.separation is None else p.separation)
+        except QuasiLevyError as exc:
+            out[k] = exc
+            continue
+        _, columns, m, masses = law.reduction()
+        if columns:
+            grids[k] = (m, masses)
+    extracted = dict(zip(grids, _extract_grids(list(grids.values()), [params[k] for k in grids])))
+    for k, cert in certs.items():
+        # a point mass has gamma = c0 and no weights, with no grid to lay
+        found = extracted.get(k, ((), (np.zeros((0, 0), int), np.zeros(0)), 0.0,
+                                  {"grid_n": 1, "residual": 0.0, "max_imag": 0.0, "passes": []}))
+        if isinstance(found, QuasiLevyError):
+            out[k] = found
+            continue
+        windings, (keys, values), tail, diagnostics = found
+        try:
+            tail += _truncation_tail(input_tv_error, float(np.abs(values).sum()))
+        except NonConvergent as exc:
+            out[k] = exc
+            continue
+        law = laws[k]
+        c0, columns, _, _ = law.reduction()
+        out[k] = QuasiTriplet(
+            law.basis,
+            lattice_map(c0, columns, np.array([windings], dtype=int))[0],
+            (lattice_map((0,) * law.basis.d, columns, keys), values),
+            tail_bound=tail,
+            diagnostics={**diagnostics, "winding": windings, "certificate": cert, "lattice": (c0, columns)},
+        )
+    return out
+
+
 def extract_triplet(
     law: DiscreteLaw,
     params: TripletParams | None = None,
     input_tv_error: float = 0.0,
 ) -> QuasiTriplet:
-    """Triplet of a separated law, over any basis.
+    """Triplet of one separated law, over any basis: extract_triplets on a batch of one.
 
-    Separation is certified first, under params.separation when it is
-    given.  Otherwise the certificate only proves inf |f| > 0, at the tiny
-    gap of PROOF_OF_SEPARATION: it is not tightened toward the sampled
-    infimum, so its mu may lie far below it (certify_separation, or check-s,
-    gives the tight one).  Either way it is kept as
-    diagnostics["certificate"].  The extraction runs on the law's stored
-    reduction c0 + B Z^r, the masses at m, so the grid tracks the spread of
-    m and has r axes.  gamma = c0 + B w with w the winding
-    numbers of the axis loops, and the weight of the reduced frequency k
-    is lambda_(B k).  input_tv_error is the total-variation error of an
-    upstream support truncation; it enters tail_bound through the
-    Wiener-norm log bound.  diagnostics["lattice"] holds (c0, columns of B).
+    There is no other extraction path.  The law's grid is a stack of one
+    along the batch axis of the core, (1, n, ..., n), within GRID_BUDGET
+    points like every stack, and goes alone from one grid size n to 2n;
+    laws extracted together are grouped by rank and grid size instead, and
+    each gets the bits this gives it.  See extract_triplets for the
+    certificate, the reduction and input_tv_error.  Raises the
+    QuasiLevyError that its certification or extraction raised.
     """
-    if params is None:
-        params = TripletParams()
-    cert = require_separated(law, PROOF_OF_SEPARATION if params.separation is None else params.separation)
-    c0, columns, m, masses = law.reduction()
-    if columns:
-        windings, (keys, values), tail, diagnostics = _extract(m, masses, params, input_tv_error)
-    else:  # a point mass: gamma = c0 and no weights, with no grid to lay
-        windings, keys, values = (), np.zeros((0, 0), int), np.zeros(0)
-        tail = _truncation_tail(input_tv_error, 0.0)
-        diagnostics = {"grid_n": 1, "residual": 0.0, "max_imag": 0.0, "passes": []}
-    return QuasiTriplet(
-        law.basis,
-        lattice_map(c0, columns, np.array([windings], dtype=int))[0],
-        (lattice_map((0,) * law.basis.d, columns, keys), values),
-        tail_bound=tail,
-        diagnostics={**diagnostics, "winding": windings, "certificate": cert, "lattice": (c0, columns)},
-    )
+    found, = extract_triplets([law], [params], input_tv_error)
+    if isinstance(found, QuasiLevyError):
+        raise found
+    return found
 
 
 # The benchmark's tracer hooks these two names, in this module and in limits.

@@ -240,6 +240,31 @@ class TestCliCommands:
         assert err["error"] == "NotSeparated"
         assert err["certificate"]["verdict"] == "zero_found"
 
+    def test_converge_check_names_the_failing_member(self, tmp_path, capsys):
+        good = write(tmp_path, "good.json", jsonio.law_to_json(BERN08))
+        zero = write(tmp_path, "zero.json", jsonio.law_to_json(DiscreteLaw.from_lattice({0: 0.3, 1: 0.4, 2: 0.3})))
+        assert main(["converge-check", "--limit", good, good, zero, good]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TripletFailed"
+        assert err["message"].startswith("triplet extraction failed for member 2: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["compact-check", "LAW", "LAW", "--n-init", "0"],
+        ["stoch-check", "LAW", "--n-init", "-4"],
+        ["converge-check", "--limit", "LAW", "LAW", "--tol", "-1"],
+        ["triplet", "LAW", "--tol", "0"],
+    ])
+    def test_invalid_triplet_params_fail_before_any_certificate(self, tmp_path, capsys, monkeypatch, argv):
+        from quasilevy import spectral
+
+        certified = []
+        monkeypatch.setattr(spectral, "require_separated", lambda *args: certified.append(args))
+        law_file = write(tmp_path, "law.json", jsonio.law_to_json(BERN08))
+        assert main([law_file if a == "LAW" else a for a in argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgument"
+        assert certified == []
+
     def test_converge_check_holds(self, tmp_path, capsys):
         limit_file = write(tmp_path, "limit.json", jsonio.law_to_json(GEOMETRIC))
         members = [write(tmp_path, "m.json", jsonio.law_to_json(GEOMETRIC)) for _ in range(3)]

@@ -199,14 +199,15 @@ class TestStochasticCompactness:
     def test_one_extraction_per_member(self, monkeypatch):
         from quasilevy import limits
 
+        # the members are extracted in one batch: it must hold each member once, in order
         calls = []
-        extract = limits.triplet_of
+        extract = limits.extract_triplets
 
-        def counting(law, params=None):
-            calls.append(law)
-            return extract(law, params)
+        def counting(laws, params):
+            calls.extend(laws)
+            return extract(laws, params)
 
-        monkeypatch.setattr(limits, "triplet_of", counting)
+        monkeypatch.setattr(limits, "extract_triplets", counting)
         members = tuple(poisson_like(v / 10.0) for v in range(1, 6))
         check_stochastic_compactness(LawSequence(members))
         assert calls == list(members)

@@ -3,22 +3,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasilevy import (
     DiscreteLaw,
     FrequencyBasis,
+    InvalidArgument,
     NonpositiveTau,
     NotSeparated,
+    QuasiLevyError,
     QuasiTriplet,
     SeparationParams,
     SignedAtomicMeasure,
     StepTooCoarse,
+    TripletFailed,
     TripletParams,
     ZeroOnPath,
     cf_eval,
     cf_from_triplet,
     distinguished_log,
     extract_triplet,
+    extract_triplets,
     gamma_tau,
     levy_spectral_function,
     mean_motion,
@@ -30,7 +36,7 @@ from quasilevy import (
     tv_distance,
     winding_number,
 )
-from quasilevy import jsonio
+from quasilevy import jsonio, limits
 from oracles import (
     geometric_cf,
     geometric_lambdas,
@@ -293,6 +299,113 @@ class TestExtractionSeparation:
         cert = extract_triplet(self.LAWS[0], TripletParams(separation=params)).diagnostics["certificate"]
         assert cert.is_certified
         assert cert.mu >= 0.95 * cert.best_inf_estimate
+
+
+class TestTripletParams:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_init": 0}, {"n_init": -64}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"n_max": 0},
+    ])
+    def test_invalid_values_are_rejected(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            TripletParams(**kwargs)
+
+    def test_smallest_valid_values(self):
+        params = TripletParams(n_init=1, tol=5e-324, n_max=1)
+        assert params.initial_n(1, 0) == 4  # raised by doubling to 4 (spread + 1)
+
+
+@st.composite
+def batch_laws(draw):
+    """One member of a batch: a d = 1 law whose grid doubles 0 to 2 times from n = 64, a random
+    dominant d = 1 or d = 2 law, a point mass, or a law whose characteristic function has a zero."""
+    kind = draw(st.sampled_from(["doubling", "lattice", "planar", "point", "zero"]))
+    if kind == "doubling":  # from n = 64: p in [0.7, 0.95] passes at once, [0.56, 0.6] after two doublings
+        p = draw(st.floats(0.56, 0.95))
+        return DiscreteLaw.from_lattice({0: p, 1: 1 - p})
+    if kind == "point":
+        return DiscreteLaw.from_values([(draw(st.integers(-5, 5)), 1.0)])
+    if kind == "zero":
+        return draw(st.sampled_from([DiscreteLaw.from_lattice({0: 0.5, 1: 0.5}),
+                                     DiscreteLaw.from_lattice({0: 0.3, 1: 0.4, 2: 0.3})]))
+    point = st.integers(-6, 6) if kind == "lattice" else st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    support = draw(st.lists(point, min_size=2, max_size=5, unique=True))
+    p_star = draw(st.floats(0.65, 0.95))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support) - 1, max_size=len(support) - 1))
+    masses = [p_star] + [w / sum(weights) * (1 - p_star) for w in weights]
+    if kind == "lattice":
+        return DiscreteLaw.from_lattice(dict(zip(support, masses)))
+    return DiscreteLaw.from_pairs(B2, list(zip(support, masses)))
+
+
+def seen_by_caller(found):
+    """What a caller reads of one extraction: the triplet's JSON bytes, its diagnostics and its
+    certificate's JSON bytes, or the exception's type and message."""
+    if isinstance(found, QuasiLevyError):
+        return type(found).__name__, str(found)
+    diagnostics = {k: v for k, v in found.diagnostics.items() if k != "certificate"}
+    return (jsonio.dumps(jsonio.triplet_to_json(found)), repr(diagnostics),
+            jsonio.dumps(jsonio.certificate_to_json(found.diagnostics["certificate"])))
+
+
+def extracted_alone(law, params):
+    try:
+        return extract_triplet(law, params)
+    except QuasiLevyError as exc:
+        return exc
+
+
+class TestBatchedExtraction:
+    # n_max = 128 turns the laws that double twice from n = 64 into NonConvergent members
+    PARAMS = [None, TripletParams(n_init=64), TripletParams(n_init=64, n_max=128)]
+
+    MIXED = [DiscreteLaw.from_lattice({0: 0.58, 1: 0.42}), DiscreteLaw.from_lattice({0: 0.3, 1: 0.4, 2: 0.3}),
+             DiscreteLaw.from_lattice({0: 0.65, 1: 0.35}), DiscreteLaw.from_values([(2, 1.0)]),
+             DiscreteLaw.from_pairs(B2, [((0, 0), 0.7), ((1, 0), 0.2), ((0, 1), 0.1)]),
+             DiscreteLaw.from_lattice({0: 0.8, 2: 0.15, 5: 0.05})]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(batch_laws(), min_size=1, max_size=8), st.sampled_from(range(len(PARAMS))))
+    @example(MIXED, 1)  # grids of 64, 128 and 256 in one batch, beside a zero, a point mass and a d = 2 law
+    @example(MIXED, 2)  # the first law fails at n_max, before the zero of the second
+    @example(MIXED[1:], 0)
+    def test_batch_matches_each_law_alone(self, laws, which):
+        params = self.PARAMS[which]
+        alone = [seen_by_caller(extracted_alone(law, params)) for law in laws]
+        assert [seen_by_caller(found) for found in extract_triplets(laws, [params] * len(laws))] == alone
+        failing = [i for i, (law, seen) in enumerate(zip(laws, alone), start=1) if len(seen) == 2]
+        if failing:
+            with pytest.raises(TripletFailed) as caught:
+                limits._extract_all(laws, [params] * len(laws))
+            assert caught.value.index == failing[0]
+            assert (type(caught.value.cause).__name__, str(caught.value.cause)) == alone[failing[0] - 1]
+        else:
+            assert [seen_by_caller(t) for t in limits._extract_all(laws, [params] * len(laws))] == alone
+
+    def test_members_keep_their_own_params(self):
+        # the limit of converge-check joins its members' batch with separation parameters of its own
+        law = DiscreteLaw.from_lattice({0: 0.36, 1: 0.24, 3: 0.24, 4: 0.16})
+        tight = TripletParams(separation=SeparationParams())
+        proved, exact = extract_triplets([law, law], [None, tight])
+        assert seen_by_caller(proved) == seen_by_caller(extract_triplet(law))
+        assert seen_by_caller(exact) == seen_by_caller(extract_triplet(law, tight))
+        assert proved.diagnostics["certificate"].mu < exact.diagnostics["certificate"].mu
+
+    def test_stacks_stay_within_the_grid_budget(self, monkeypatch):
+        from quasilevy import spectral
+
+        sizes = []
+        extract_pass = spectral._extract_pass
+
+        def spy(q, tol):
+            sizes.append(q.shape)
+            return extract_pass(q, tol)
+
+        monkeypatch.setattr(spectral, "_extract_pass", spy)
+        monkeypatch.setattr(spectral, "GRID_BUDGET", 3 * 1024)
+        laws = [DiscreteLaw.from_lattice({0: 0.9 - 0.01 * i, 1: 0.1 + 0.01 * i}) for i in range(7)]
+        assert all(isinstance(t, QuasiTriplet) for t in extract_triplets(laws, [None] * 7))
+        assert sizes == [(3, 1024), (3, 1024), (1, 1024)]
 
 
 class TestMeanMotion:
