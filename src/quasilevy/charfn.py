@@ -153,6 +153,12 @@ class SeparationCertificate:
                     d_j phi~(c))| r_j - 1/2 sum_k p_k (|c_k|.r)^2) -
                     rounding_margin >= mu, u the phase of phi~(c).
                     search_log["slack"] is best_inf_estimate - mu.
+                    best_inf_estimate is the smallest sampled modulus,
+                    except for a "dominant" certificate taken before any
+                    sample (mu_0 reached target_gap times the sum of the
+                    masses, rounded up): it then reports the sum of the
+                    masses, |phi~(0)|, and slack says how far mu lies
+                    below it, not how tight mu is.
       "zero_found": a torus point zero_theta with |phi~| <= zero_tol was
                     exhibited.  When the support spans a rank-1 lattice
                     c0 + B Z (as every d = 1 law) and B^T alpha != 0, it is
@@ -293,14 +299,14 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
     tested after the root sample, after the frontier and after each round's
     samples, before the zero test, as a proof outranks a sample at most
     zero_tol.  Most laws with an atom above half the mass end at the root.
-    It is tested first against the sum of the masses, rounded up: |phi~|
-    never exceeds that sum, so when mu_0 reaches target_gap times it no
-    sample could change the verdict, and the law is certified before any
-    is taken.  best_inf_estimate is then the modulus at theta = 0, the sum
-    of the masses, and the search_log is that of a certificate at the root
-    (cells 1, bound "dominant").  At the gap 2^-52 of extraction's
-    spectral.PROOF_OF_SEPARATION this covers every law whose floor passes
-    about 2.2e-16 times its total mass.
+    It is tested first, before the root sample, against the sum of the
+    masses, rounded up: |phi~| never exceeds that sum, so when mu_0
+    reaches target_gap times it no sample could change the verdict, and
+    the law is certified before any is taken.  best_inf_estimate is then
+    the modulus at theta = 0, the sum of the masses, and the search_log is
+    that of a certificate at the root (cells 1, bound "dominant").  At the
+    gap 2^-52 of extraction's spectral.PROOF_OF_SEPARATION this covers
+    every law whose floor passes about 2.2e-16 times its total mass.
 
     The root centre (pi, ..., pi) is sampled first, and a zero there is
     reported at once (the symmetric laws' zeros sit on it).  The search then
@@ -360,18 +366,8 @@ def certify_separation(law: DiscreteLaw, params: SeparationParams | None = None)
             search_log={"cells": 1, "max_depth": 0, "rounding_margin": 0.0, "slack": 0.0, "rank": 0,
                         "frontier": {"depth": 0, "cells": 0}, "rounds": 0, "bound": "dominant"},
         )
-    coords = reduced.astype(float)
-    mu_0 = dominant_mass_bound(law)
-    if mu_0 is not None:
-        total = math.fsum(masses.tolist())  # |phi~(0)|, which no sample exceeds
-        if mu_0 >= params.target_gap * _round_up(total, len(masses)):
-            margin = rounding_margin(coords - coords[np.argmax(masses)], masses)  # as the search would take it
-            return SeparationCertificate(
-                verdict="certified", mu=mu_0, best_inf_estimate=total, independence_assumed=independent,
-                search_log={"cells": 1, "max_depth": 0, "rounding_margin": margin, "frontier": {"depth": 0, "cells": 0},
-                            "rounds": 0, "slack": total - mu_0, "bound": "dominant", "rank": rank},
-            )
-    verdict, mu, best_ub, best_theta, log = _branch_and_bound(coords, masses, params, mu_0)
+    verdict, mu, best_ub, best_theta, log = _branch_and_bound(reduced.astype(float), masses, params,
+                                                              dominant_mass_bound(law))
     log = dict(log, rank=rank)
     if verdict != "zero_found":
         return SeparationCertificate(verdict=verdict, mu=mu, best_inf_estimate=best_ub, depth=log["max_depth"],
@@ -402,18 +398,64 @@ def _branch_and_bound(coords: np.ndarray, masses: np.ndarray, params: Separation
 
     Returns (verdict, mu, the best sampled modulus, its centre, search_log
     without the rank).  mu_0, when given, certifies as soon as it reaches
-    target_gap times the best sample.  need, when given, is the bound that
-    closes a cell in place of target_gap times the best sample, and a sample
-    at or below it ends the search as a zero does: the heavy-core step
-    searches its core so, and tries no core of its own.
+    target_gap times the best sample, and before any sample when it
+    reaches target_gap times the sum of the masses, rounded up; that sum
+    is then the modulus returned, at no centre.  need, when given, is the
+    bound that closes a cell in place of target_gap times the best sample,
+    and a sample at or below it ends the search as a zero does: the
+    heavy-core step searches its core so, and tries no core of its own.
     """
-    fine = (math.pi / (4 * (coords.max(axis=0) - coords.min(axis=0) + 1))).tolist()
-    coords = coords - coords[np.argmax(masses)]  # moving the law leaves |P| alone and shrinks L.r
-    lip = np.abs(coords).T @ masses
-    margin = rounding_margin(coords, masses)
-    spans = np.abs(coords)
+    shifted = coords - coords[np.argmax(masses)]  # moving the law leaves |P| alone and shrinks L.r
+    margin = rounding_margin(shifted, masses)
     k, rank = coords.shape
     stop = params.zero_tol if need is None else max(params.zero_tol, need)
+
+    cells_seen = 0
+    max_depth_seen = 0
+    rounds = 0
+    frontier = {"depth": 0, "cells": 0}
+    floor = math.inf
+    best_ub, best_theta = math.inf, ()
+
+    def log(**extra) -> dict:
+        return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin,
+                    frontier=dict(frontier), rounds=rounds, **extra)
+
+    def take_best(theta: np.ndarray, moduli: np.ndarray) -> bool:
+        """Keep the least sampled modulus and its centre; True when it ends the search (at most zero_tol, or need)."""
+        nonlocal best_ub, best_theta
+        j = int(moduli.argmin())
+        if moduli[j] < best_ub:
+            best_ub, best_theta = float(moduli[j]), tuple(theta[:, j].tolist())
+        return best_ub <= stop
+
+    def target() -> float:
+        return params.target_gap * best_ub if need is None else need
+
+    def dominated() -> bool:
+        """True when the floor mu_0 closes the gap; a proof, so it wins over a sample at most zero_tol."""
+        return mu_0 is not None and mu_0 >= params.target_gap * best_ub
+
+    def zero() -> tuple:
+        return "zero_found", None, best_ub, best_theta, log(bound="search")
+
+    def certified(mu: float, bound: str) -> tuple:
+        return "certified", mu, best_ub, best_theta, log(slack=best_ub - mu, bound=bound)
+
+    if mu_0 is not None:
+        # |phi~| never exceeds the sum of the masses, rounded up: a floor that closes the gap
+        # against it would close it against any sample, so none is taken
+        total = math.fsum(masses.tolist())
+        best_ub = _round_up(total, k)
+        if dominated():
+            best_ub, cells_seen = total, 1  # the modulus at theta = 0
+            return certified(mu_0, "dominant")
+        best_ub = math.inf
+
+    fine = (math.pi / (4 * (coords.max(axis=0) - coords.min(axis=0) + 1))).tolist()
+    coords = shifted
+    lip = np.abs(coords).T @ masses
+    spans = np.abs(coords)
 
     def level(radii: np.ndarray) -> tuple:
         """(split axis, radii, L.r, 1/2 sum_k p_k (|c_k|.r)^2) for the cells of one depth."""
@@ -447,38 +489,6 @@ def _branch_and_bound(coords: np.ndarray, masses: np.ndarray, params: Separation
         """The radii (rank, 1), L.r and quadratic term of the cells of one depth."""
         _, radii, lip_r, quad = levels[depth]
         return np.array(radii)[:, None], lip_r, quad
-
-    cells_seen = 0
-    max_depth_seen = 0
-    rounds = 0
-    frontier = {"depth": 0, "cells": 0}
-    floor = math.inf
-    best_ub, best_theta = math.inf, ()
-
-    def log(**extra) -> dict:
-        return dict(cells=cells_seen, max_depth=max_depth_seen, rounding_margin=margin,
-                    frontier=dict(frontier), rounds=rounds, **extra)
-
-    def take_best(theta: np.ndarray, moduli: np.ndarray) -> bool:
-        """Keep the least sampled modulus and its centre; True when it ends the search (at most zero_tol, or need)."""
-        nonlocal best_ub, best_theta
-        j = int(moduli.argmin())
-        if moduli[j] < best_ub:
-            best_ub, best_theta = float(moduli[j]), tuple(theta[:, j].tolist())
-        return best_ub <= stop
-
-    def target() -> float:
-        return params.target_gap * best_ub if need is None else need
-
-    def dominated() -> bool:
-        """True when the floor mu_0 closes the gap; a proof, so it wins over a sample at most zero_tol."""
-        return mu_0 is not None and mu_0 >= params.target_gap * best_ub
-
-    def zero() -> tuple:
-        return "zero_found", None, best_ub, best_theta, log(bound="search")
-
-    def certified(mu: float, bound: str) -> tuple:
-        return "certified", mu, best_ub, best_theta, log(slack=best_ub - mu, bound=bound)
 
     index = np.zeros((1, rank), dtype=np.int64)  # row id: the integer index m of the cell with that id
     theta, bounds, moduli = sample(index, *of_depth(0))

@@ -6,9 +6,10 @@ declared finite-sample readings (configurable thresholds), never proofs
 about the unseen tail.  Every report says so.
 
 The members of a prefix, and the limit of a convergence check, are
-extracted together: spectral.extract_triplets certifies each in turn and
-then runs their grids as stacks, one extraction core for all of them.
-Each member's triplet is the one it gets alone.
+extracted together: spectral.extract_triplets certifies each in turn,
+stopping at the first that is not certified, and then runs their grids
+as stacks, one extraction core for all of them.  Each member's triplet
+is the one it gets alone.
 
 Conventions: triplets of different members are aligned by extending each
 weight map with zeros off its own frequency set; the shared frequency

@@ -18,11 +18,13 @@ handed to the triplet as arrays, c0 + w @ B and k @ B.
 
 The core works on a batch.  extract_triplets takes a list of laws; the
 pending grids of one rank r and one size n are stacked along a leading
-batch axis, (b, n, ..., n), in stacks of at most GRID_BUDGET points, the
-most one grid may have, and one pass runs the FFTs and elementwise steps
-on the whole stack.  Only the members whose pass failed a guard go on,
-on grids of size 2n.  Sums stay per member, so each law gets the bits it
-gets alone; extract_triplet is the batch of one.
+batch axis, (b, n, ..., n), and one pass runs the FFTs and elementwise
+steps on the whole stack.  A stack holds at most GRID_BUDGET points, the
+most one grid may have, and at most n_max^r when that is less, so that it
+never outgrows the largest grid one of its laws may reach alone.  Only
+the members whose pass failed a guard go on, on grids of size 2n.  Sums
+stay per member, so each law gets the bits it gets alone;
+extract_triplet is the batch of one.
 """
 
 from __future__ import annotations
@@ -286,6 +288,8 @@ def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
         out[r] = ZeroOnPath("torus lift vanishes on the sampling grid")
     if not live.all():
         rows, q, tol, g, mods = rows[live], q[live], tol[live], g[live], mods[live]
+    if not len(rows):
+        return out
     dphis = []
     for j in range(d):
         step = np.roll(g, -1, axis=1 + j)
@@ -400,8 +404,10 @@ def _extract_grids(members: list, params: list) -> list:
 
     members holds each member's integer coords (K, r) and masses (K,).
     The pending members are grouped by (r, n); a group runs as stacks of
-    at most GRID_BUDGET points, and only the members whose pass failed a
-    guard go on, on grids twice as fine.  Returns per member (windings,
+    at most min(GRID_BUDGET, n_max^r) points, n_max the largest of the
+    group, so that no stack outgrows the largest grid one of its members
+    may reach alone.  Only the members whose pass failed a guard go on,
+    on grids twice as fine.  Returns per member (windings,
     (frequency vectors (k, r), their weights), tail, diagnostics), or the
     QuasiLevyError it raised; diagnostics["passes"] lists its rejected
     passes as {n, guard, value}.
@@ -423,7 +429,8 @@ def _extract_grids(members: list, params: list) -> list:
                 groups.setdefault((d, n), []).append(k)
         pending = []
         for (d, n), group in groups.items():
-            per_stack = GRID_BUDGET // n ** d
+            # no stack outgrows the largest grid a member of its group may reach alone
+            per_stack = min(GRID_BUDGET, max(params[k].n_max for k in group) ** d) // n ** d
             for lo in range(0, len(group), per_stack):
                 stack = group[lo:lo + per_stack]
                 q = np.zeros((len(stack),) + (n,) * d)
@@ -478,10 +485,13 @@ def extract_triplets(
     PROOF_OF_SEPARATION: it is not tightened toward the sampled infimum,
     so its mu may lie far below it (certify_separation, or check-s, gives
     the tight one).  Either way it is kept as diagnostics["certificate"].
+    The first law whose certification fails ends the batch: the laws after
+    it are neither certified nor extracted.
     The extraction runs on each law's stored reduction c0 + B Z^r, the
-    masses at m, so a grid tracks the spread of m and has r axes.  The grids of laws of one rank r and one grid size n
-    are stacked along a leading batch axis, each stack within GRID_BUDGET
-    points, and pass through one extraction core together; only the laws
+    masses at m, so a grid tracks the spread of m and has r axes.  The
+    grids of laws of one rank r and one grid size n are stacked along a
+    leading batch axis, each stack within GRID_BUDGET points and within
+    n_max^r, and pass through one extraction core together; only the laws
     whose pass failed a guard go on to the next size.  A law's triplet does
     not depend on the laws beside it: it is bit for bit the one it gets
     alone.  gamma = c0 + B w with w the winding numbers of the axis loops,
@@ -490,19 +500,22 @@ def extract_triplets(
     truncation, the same for every law; it enters tail_bound through the
     Wiener-norm log bound.  diagnostics["lattice"] holds (c0, columns of B).
 
-    Returns one entry per law, in order: its QuasiTriplet, or the
-    QuasiLevyError its certification or extraction raised.  A law that
+    Returns one entry per law, in order: its QuasiTriplet, the
+    QuasiLevyError its certification or extraction raised, or None after
+    the first law whose certification failed.  A law whose extraction
     fails does not stop the others.
     """
+    if len(params) != len(laws):
+        raise ValueError(f"{len(laws)} laws need as many params, got {len(params)}")
     params = [TripletParams() if p is None else p for p in params]
     out: list = [None] * len(laws)
     certs, grids = {}, {}  # by law index: its certificate; the laws of rank >= 1 to extract
-    for k, (law, p) in enumerate(zip(laws, params, strict=True)):
+    for k, (law, p) in enumerate(zip(laws, params)):
         try:
             certs[k] = require_separated(law, PROOF_OF_SEPARATION if p.separation is None else p.separation)
         except QuasiLevyError as exc:
             out[k] = exc
-            continue
+            break
         _, columns, m, masses = law.reduction()
         if columns:
             grids[k] = (m, masses)

@@ -312,7 +312,8 @@ class TestCliCommands:
          "negative_depth", "negative_zero_tol", "huge_d1_frequency", "duplicate_lattice_index",
          "power_overflows_series", "power_beyond_float_range", "weight_overflows_series",
          "curves_t_max_beyond_budget", "curves_samples_beyond_budget", "emit_curves_beyond_budget",
-         "curves_support_beyond_float_range", "trivial_basis_check_s", "trivial_basis_triplet"],
+         "curves_support_beyond_float_range", "trivial_basis_check_s", "trivial_basis_triplet",
+         "grid_samples_a_near_zero", "member_grid_samples_a_near_zero"],
     )
     def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, monkeypatch, case):
         good = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
@@ -336,6 +337,9 @@ class TestCliCommands:
         # the point mass at 0 written with a second coordinate on the trivial basis
         trivial = write(tmp_path, "trivial.json", {"basis": [0], "atoms": [
             {"coords": [0], "mass": 0.5}, {"coords": [5], "mass": 0.5}]})
+        # certified separated, with a floor of about 1e-14, yet |f| falls below 1e-13 at theta = pi on the grid
+        near_zero = write(tmp_path, "near0.json", {"basis": [1], "atoms": [
+            {"coords": [0], "mass": 0.5 + 5e-15}, {"coords": [1], "mass": 0.5 - 5e-15}]})
         if case.endswith("env_tol"):
             monkeypatch.setenv("QUASILEVY_TOL", "nan" if case == "nan_env_tol" else "abc")
         argv, error = {
@@ -369,6 +373,8 @@ class TestCliCommands:
             "curves_support_beyond_float_range": (["curves", far], "InvalidArgument"),
             "trivial_basis_check_s": (["check-s", trivial], "ParseError"),
             "trivial_basis_triplet": (["triplet", trivial], "ParseError"),
+            "grid_samples_a_near_zero": (["triplet", near_zero], "ZeroOnPath"),
+            "member_grid_samples_a_near_zero": (["compact-check", near_zero], "TripletFailed"),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -315,10 +315,15 @@ class TestTripletParams:
         assert params.initial_n(1, 0) == 4  # raised by doubling to 4 (spread + 1)
 
 
+# its floor, about 1e-14, is certified at PROOF_OF_SEPARATION, and its grid samples theta = pi, where |f| is as small
+NEAR_ZERO_LAW = DiscreteLaw.from_lattice({0: 0.5 + 5e-15, 1: 0.5 - 5e-15})
+
+
 @st.composite
 def batch_laws(draw):
     """One member of a batch: a d = 1 law whose grid doubles 0 to 2 times from n = 64, a random
-    dominant d = 1 or d = 2 law, a point mass, or a law whose characteristic function has a zero."""
+    dominant d = 1 or d = 2 law, a point mass, a law whose characteristic function has a zero, or
+    one certified separated whose grid still samples |f| below 1e-13."""
     kind = draw(st.sampled_from(["doubling", "lattice", "planar", "point", "zero"]))
     if kind == "doubling":  # from n = 64: p in [0.7, 0.95] passes at once, [0.56, 0.6] after two doublings
         p = draw(st.floats(0.56, 0.95))
@@ -327,7 +332,7 @@ def batch_laws(draw):
         return DiscreteLaw.from_values([(draw(st.integers(-5, 5)), 1.0)])
     if kind == "zero":
         return draw(st.sampled_from([DiscreteLaw.from_lattice({0: 0.5, 1: 0.5}),
-                                     DiscreteLaw.from_lattice({0: 0.3, 1: 0.4, 2: 0.3})]))
+                                     DiscreteLaw.from_lattice({0: 0.3, 1: 0.4, 2: 0.3}), NEAR_ZERO_LAW]))
     point = st.integers(-6, 6) if kind == "lattice" else st.tuples(st.integers(-2, 2), st.integers(-2, 2))
     support = draw(st.lists(point, min_size=2, max_size=5, unique=True))
     p_star = draw(st.floats(0.65, 0.95))
@@ -340,7 +345,9 @@ def batch_laws(draw):
 
 def seen_by_caller(found):
     """What a caller reads of one extraction: the triplet's JSON bytes, its diagnostics and its
-    certificate's JSON bytes, or the exception's type and message."""
+    certificate's JSON bytes, or the exception's type and message; None for a law not extracted."""
+    if found is None:
+        return None
     if isinstance(found, QuasiLevyError):
         return type(found).__name__, str(found)
     diagnostics = {k: v for k, v in found.diagnostics.items() if k != "certificate"}
@@ -372,7 +379,13 @@ class TestBatchedExtraction:
     def test_batch_matches_each_law_alone(self, laws, which):
         params = self.PARAMS[which]
         alone = [seen_by_caller(extracted_alone(law, params)) for law in laws]
-        assert [seen_by_caller(found) for found in extract_triplets(laws, [params] * len(laws))] == alone
+        # the first law that is not certified ends the batch; without such laws, every law is extracted
+        cut = next((i for i, seen in enumerate(alone) if seen[0] == "NotSeparated"), len(laws) - 1)
+        assert ([seen_by_caller(found) for found in extract_triplets(laws, [params] * len(laws))]
+                == alone[:cut + 1] + [None] * (len(laws) - cut - 1))
+        kept = [(law, seen) for law, seen in zip(laws, alone) if seen[0] != "NotSeparated"]
+        assert ([seen_by_caller(found) for found in extract_triplets([law for law, _ in kept], [params] * len(kept))]
+                == [seen for _, seen in kept])
         failing = [i for i, (law, seen) in enumerate(zip(laws, alone), start=1) if len(seen) == 2]
         if failing:
             with pytest.raises(TripletFailed) as caught:
@@ -406,6 +419,40 @@ class TestBatchedExtraction:
         laws = [DiscreteLaw.from_lattice({0: 0.9 - 0.01 * i, 1: 0.1 + 0.01 * i}) for i in range(7)]
         assert all(isinstance(t, QuasiTriplet) for t in extract_triplets(laws, [None] * 7))
         assert sizes == [(3, 1024), (3, 1024), (1, 1024)]
+        sizes.clear()
+        # nor beyond the largest grid a member may reach alone, n_max^r points
+        monkeypatch.setattr(spectral, "GRID_BUDGET", 1 << 22)
+        assert all(isinstance(t, QuasiTriplet) for t in extract_triplets(laws[:5], [TripletParams(n_max=2048)] * 5))
+        assert sizes == [(2, 1024), (2, 1024), (1, 1024)]
+
+    def test_a_grid_that_samples_a_near_zero_is_zero_on_path(self):
+        # certified, yet |f| falls below 1e-13 on the grid: no member of the stack is left for the phase
+        from quasilevy import certify_separation
+        from quasilevy.spectral import PROOF_OF_SEPARATION
+
+        assert 0 < certify_separation(NEAR_ZERO_LAW, PROOF_OF_SEPARATION).mu < 1e-13
+        with pytest.raises(ZeroOnPath, match="vanishes on the sampling grid"):
+            extract_triplet(NEAR_ZERO_LAW)
+        for laws, index in (([NEAR_ZERO_LAW], 1), ([self.MIXED[0], NEAR_ZERO_LAW, self.MIXED[2]], 2)):
+            with pytest.raises(TripletFailed) as caught:
+                limits._extract_all(laws, [None] * len(laws))
+            assert caught.value.index == index and isinstance(caught.value.cause, ZeroOnPath)
+
+    def test_the_first_law_not_certified_ends_the_batch(self, monkeypatch):
+        from quasilevy import spectral
+
+        certified = []
+        require_separated = spectral.require_separated
+
+        def spy(law, params):
+            certified.append(law)
+            return require_separated(law, params)
+
+        monkeypatch.setattr(spectral, "require_separated", spy)
+        good, zero = self.MIXED[2], self.MIXED[1]
+        first, failed, skipped = extract_triplets([good, zero, good], [None] * 3)
+        assert isinstance(first, QuasiTriplet) and isinstance(failed, NotSeparated) and skipped is None
+        assert certified == [good, zero]
 
 
 class TestMeanMotion:
