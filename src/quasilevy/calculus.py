@@ -36,18 +36,16 @@ from .measures import DiscreteLaw, SignedAtomicMeasure, _lattice, convolve, latt
 from .spectral import GRID_BUDGET, QuasiTriplet
 
 NEGATIVE_MASS_TOL = 1e-9  # per-atom: separates genuinely signed results from roundoff
+MAX_SERIES_TERMS = 400  # the highest series order tried before Diverged
 
 
 @dataclass
 class ExpSeriesParams:
     tol: float = 1e-12
-    max_terms: int = 400
 
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidArgument("tol must be positive")
-        if self.max_terms < 1:
-            raise InvalidArgument("max_terms must be at least 1")
 
 
 def _series_order(norm: float, prefactor: float, params: ExpSeriesParams) -> tuple[int, float]:
@@ -63,13 +61,13 @@ def _series_order(norm: float, prefactor: float, params: ExpSeriesParams) -> tup
     except OverflowError:
         raise Diverged(f"series tail bound e^norm overflows the float range (l1 norm {norm})") from None
     term = 1.0
-    for m in range(params.max_terms + 1):
+    for m in range(MAX_SERIES_TERMS + 1):
         before = term
         term *= norm / (m + 1)
         if tail * term <= params.tol:
             return m, tail * before * norm / (m + 1)
     raise Diverged(
-        f"series tail bound did not close within max_terms={params.max_terms} (l1 norm {norm})"
+        f"series tail bound did not close within {MAX_SERIES_TERMS} terms (l1 norm {norm})"
     )
 
 
@@ -289,11 +287,15 @@ def reconstruct_law(
     kept = weights > 0
     total = sum(weights[kept].tolist())
     law = DiscreteLaw.from_pairs(triplet.basis, (measure.coords[kept], weights[kept] / total))
+    try:
+        log_bound = math.expm1(triplet.tail_bound + residual)
+    except OverflowError:
+        raise Diverged(f"error bound e^(tail_bound + residual) overflows, tail_bound {triplet.tail_bound}") from None
     report = ReconstructionReport(
         series_residual=residual,
         clamped_negative_mass=clamped,
         renormalization=abs(1.0 - total),
-        error_bound=math.expm1(triplet.tail_bound + residual) + 2.0 * (clamped + abs(1.0 - total)),
+        error_bound=log_bound + 2.0 * (clamped + abs(1.0 - total)),
     )
     return law, report
 
@@ -356,8 +358,10 @@ def conv_power(
         sf = float(s_exact)
     except (OverflowError, ValueError):
         raise InvalidArgument("the power s must be a finite number within the float range") from None
-    scaled = QuasiTriplet(triplet.basis, (0,) * triplet.d, triplet.levy_measure.scaled(sf),
-                          tail_bound=sf * triplet.tail_bound)
+    scaled_tail = sf * triplet.tail_bound
+    if scaled_tail == math.inf:
+        raise Diverged(f"scaled tail bound s * tail_bound overflows, tail_bound {triplet.tail_bound}")
+    scaled = QuasiTriplet(triplet.basis, (0,) * triplet.d, triplet.levy_measure.scaled(sf), tail_bound=scaled_tail)
     measure, residual = compound_exp(scaled, params)
     shift_coords = tuple(s_exact * m for m in triplet.gamma_coords)
     shift_value = float(
@@ -370,7 +374,7 @@ def conv_power(
         shift_value=shift_value,
         classification=_classification(measure),
         series_residual=residual,
-        scaled_tail=sf * triplet.tail_bound,
+        scaled_tail=scaled_tail,
     )
 
 

@@ -73,7 +73,7 @@ _ENV_DEFAULTS = (
 )
 
 
-def emit_curves(law: DiscreteLaw, t_min: float, t_max: float, samples: int, zero_tol: float = 1e-10):
+def emit_curves(law: DiscreteLaw, t_min: float, t_max: float, samples: int):
     """Rows (t, Re f, Im f, |f|, Arg f) with the continuous-phase Arg.
 
     The phase is continued from t = 0 regardless of t_min, so the Arg
@@ -84,7 +84,7 @@ def emit_curves(law: DiscreteLaw, t_min: float, t_max: float, samples: int, zero
     if not (0 <= t_min < t_max < math.inf):
         raise InvalidArgument("need 0 <= t_min < t_max < inf")
     ts_out = np.linspace(t_min, t_max, samples)
-    vals, args = continued_arg(law, ts_out, zero_tol)
+    vals, args = continued_arg(law, ts_out)
     return [
         (float(t), float(v.real), float(v.imag), float(abs(v)), float(a))
         for t, v, a in zip(ts_out, vals, args)

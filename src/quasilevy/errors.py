@@ -64,7 +64,7 @@ class NonConvergent(QuasiLevyError):
 # --- measure calculus ----------------------------------------------------------
 
 class Diverged(QuasiLevyError):
-    """Exponential series hit max_terms before its tail bound closed."""
+    """The exponential series needs more terms or grid points than allowed, or a bound leaves the float range."""
 
 
 class NegativeMassBeyondTolerance(QuasiLevyError):

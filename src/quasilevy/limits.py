@@ -6,10 +6,10 @@ declared finite-sample readings (configurable thresholds), never proofs
 about the unseen tail.  Every report says so.
 
 The members of a prefix, and the limit of a convergence check, are
-extracted together: spectral.extract_triplets certifies each in turn,
-stopping at the first that is not certified, and then runs their grids
-as stacks, one extraction core for all of them.  Each member's triplet
-is the one it gets alone.
+extracted together under one TripletParams: spectral.extract_triplets
+certifies each in turn that inf |f| > 0, stopping at the first that is
+not certified, and then runs their grids as stacks, one extraction core
+for all of them.  Each member's triplet is the one it gets alone.
 
 Conventions: triplets of different members are aligned by extending each
 weight map with zeros off its own frequency set; the shared frequency
@@ -20,7 +20,7 @@ u_0 = 0 first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -93,8 +93,7 @@ def frequency_universe(triplets: Sequence[QuasiTriplet]) -> list[Coords]:
     return [(0,) * triplets[0].basis.d] + ordered
 
 
-def _extract_all(laws: Sequence[DiscreteLaw], params: list[Optional[TripletParams]],
-                 first: int = 1) -> list[QuasiTriplet]:
+def _extract_all(laws: Sequence[DiscreteLaw], params: Optional[TripletParams], first: int = 1) -> list[QuasiTriplet]:
     """The triplets of laws, extracted in one batch.
 
     TripletFailed names the lowest failing index, counting from first.
@@ -151,7 +150,6 @@ def check_convergence(
     seq: LawSequence,
     thresholds: Optional[Thresholds] = None,
     params: Optional[TripletParams] = None,
-    separation: Optional[SeparationParams] = None,
 ) -> ConvergenceVerdict:
     """Finite-sample reading of the shift/weight convergence criterion.
 
@@ -159,16 +157,16 @@ def check_convergence(
     tail and (ii) the aligned l1 distances of the weights, then
     cross-checks the direction against the raw TV distances; a definitive
     verdict is only emitted when both trends agree.  The limit is certified
-    once, with the separation parameters given here, and extracted in one
-    batch with the members.
+    once, like every member only as far as inf |f| > 0, and extracted in
+    one batch with the members; LimitNotSeparated is raised when that
+    certificate is not given.
     """
     if thresholds is None:
         thresholds = Thresholds()
     if seq.limit is None:
         raise ValueError("check_convergence needs a limit law")
-    limit_params = replace(params or TripletParams(), separation=separation)
     try:
-        limit_triplet, *triplets = _extract_all([seq.limit, *seq.laws], [limit_params] + [params] * len(seq), first=0)
+        limit_triplet, *triplets = _extract_all([seq.limit, *seq.laws], params, first=0)
     except TripletFailed as exc:
         if exc.index == 0 and isinstance(exc.cause, NotSeparated):
             raise LimitNotSeparated(
@@ -252,7 +250,7 @@ def check_relative_compactness(
     """
     if thresholds is None:
         thresholds = Thresholds()
-    triplets = _extract_all(seq.laws, [params] * len(seq))
+    triplets = _extract_all(seq.laws, params)
 
     gammas = [t.gamma_coords for t in triplets]
     distinct: list[tuple[int, ...]] = []

@@ -16,15 +16,16 @@ an exact integer combination of the basis, and a reduced frequency k is
 the frequency B k, with an l1 tail that is tracked explicitly.  Both are
 handed to the triplet as arrays, c0 + w @ B and k @ B.
 
-The core works on a batch.  extract_triplets takes a list of laws; the
-pending grids of one rank r and one size n are stacked along a leading
-batch axis, (b, n, ..., n), and one pass runs the FFTs and elementwise
-steps on the whole stack.  A stack holds at most GRID_BUDGET points, the
-most one grid may have, and at most n_max^r when that is less, so that it
-never outgrows the largest grid one of its laws may reach alone.  Only
-the members whose pass failed a guard go on, on grids of size 2n.  Sums
-stay per member, so each law gets the bits it gets alone;
-extract_triplet is the batch of one.
+The core works on a batch.  extract_triplets takes a list of laws and
+one TripletParams for all of them; the pending grids of one rank r and
+one size n are stacked along a leading batch axis, (b, n, ..., n), and
+one pass runs the FFTs and elementwise steps on the whole stack.  A
+stack holds at most GRID_BUDGET points, the most one grid may have, and
+at most n_max^r when that is less, so that it never outgrows the largest
+grid one of its laws may reach alone.  Only the members whose pass
+failed a guard go on, on grids of size 2n.  Sums stay per member, so
+each law gets the bits it gets alone; extract_triplet is the batch of
+one.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_STEP_GUARD = 0.9 * math.pi
 LAMBDA_DROP_TOL = 1e-13
 REAL_PART_TOL = 1e-10
+PATH_ZERO_TOL = 1e-10  # |f| below this on a continued path reads as a zero
 GRID_BUDGET = 1 << 22  # most points of one grid: an extraction pass or a reconstruction series
 # Extraction needs a proof that inf |f| > 0 and nothing more: the spectral pair
 # exists exactly when it is positive, and extraction never reads mu.  At this
@@ -84,11 +86,7 @@ def distinguished_log(values, zero_tol: float = 1e-12) -> np.ndarray:
 def winding_number(loop_values) -> int:
     """Integer phase increment (in turns) around a closed sampled loop."""
     vals = np.asarray(loop_values, dtype=complex)
-    return _turns(np.angle(np.roll(vals, -1) / vals))
-
-
-def _turns(dphi: np.ndarray) -> int:
-    """Winding number from the wrapped phase increments around a closed loop."""
+    dphi = np.angle(np.roll(vals, -1) / vals)
     if float(np.max(np.abs(dphi))) >= DEFAULT_STEP_GUARD:
         raise StepTooCoarse("loop sampled too coarsely for a reliable winding number")
     total = float(np.sum(dphi))
@@ -98,13 +96,13 @@ def _turns(dphi: np.ndarray) -> int:
     return m
 
 
-def continued_arg(law: DiscreteLaw, ts, zero_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def continued_arg(law: DiscreteLaw, ts) -> tuple[np.ndarray, np.ndarray]:
     """f and its continuous-phase Arg at the sorted points ts >= 0.
 
     The phase is continued from t = 0 along a uniform grid merged with ts.
     The step starts at min(0.05, 0.3 / sum p_k |x_k|) and halves until
     every adjacent phase increment passes the distinguished_log guard.
-    ZeroOnPath is raised if |f| dips below zero_tol on the grid, or if a
+    ZeroOnPath is raised if |f| dips below PATH_ZERO_TOL on the grid, or if a
     refinement fails where |f| < 1e-6; StepTooCoarse after 16 halvings;
     InvalidArgument past GRID_BUDGET grid points or the float range.
     """
@@ -116,10 +114,10 @@ def continued_arg(law: DiscreteLaw, ts, zero_tol: float = 1e-10) -> tuple[np.nda
             raise InvalidArgument(f"continuing the phase to t = {ts[-1]} needs more than {GRID_BUDGET} points")
         dense = np.unique(np.concatenate([np.arange(0.0, ts[-1] + step, step), ts]))
         vals = cf_eval(law, dense)
-        if float(np.min(np.abs(vals))) < zero_tol:
+        if float(np.min(np.abs(vals))) < PATH_ZERO_TOL:
             raise ZeroOnPath("the characteristic function dips below the zero tolerance")
         try:
-            logs = distinguished_log(vals, zero_tol=zero_tol)
+            logs = distinguished_log(vals, zero_tol=PATH_ZERO_TOL)
             break
         except StepTooCoarse:
             if float(np.min(np.abs(vals))) < 1e-6:
@@ -146,7 +144,8 @@ class QuasiTriplet:
     lambdas is its read-only view.  lambdas may be given as a mapping, as
     the arrays (frequencies (n, d), weights (n,)), or as a measure on the
     same basis, which is kept as it is.  tail_bound is a certified bound on
-    the l1 mass of everything not stored.
+    the l1 mass of everything not stored: finite and nonnegative, or
+    InvalidArgument is raised.
     """
 
     __slots__ = ("basis", "gamma_coords", "levy_measure", "tail_bound", "diagnostics")
@@ -168,6 +167,8 @@ class QuasiTriplet:
         if (self.levy_measure.coords == 0).all(axis=1).any():
             raise ValueError("zero frequency must not be stored; its weight is derived")
         self.tail_bound = float(tail_bound)
+        if not 0.0 <= self.tail_bound < math.inf:
+            raise InvalidArgument(f"tail_bound must be finite and nonnegative, got {tail_bound}")
         self.diagnostics = diagnostics or {}
 
     @property
@@ -215,7 +216,7 @@ def cf_from_triplet(triplet: QuasiTriplet, t):
 
 @dataclass
 class TripletParams:
-    """Grid and tolerance knobs for triplet extraction.
+    """Grid and tolerance knobs for triplet extraction, one set for a whole batch.
 
     The grid is laid over the reduced support c0 + B Z^r, so d below is
     the rank r and spread the widest range of the reduced coords m on one
@@ -232,7 +233,6 @@ class TripletParams:
     n_init: Optional[int] = None
     tol: float = 1e-10
     n_max: int = 1 << 17
-    separation: Optional[SeparationParams] = None
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -263,18 +263,18 @@ def _grid_fft(transform, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
+def _extract_pass(q: np.ndarray, tol: float) -> list:
     """One extraction attempt on each grid of the stack q (b, n, ..., n) of masses placed at coords mod n.
 
-    tol holds each member's TripletParams.tol.  Returns one outcome per
+    tol bounds the alias mass and the residual.  Returns one outcome per
     member: (None, result) when every guard passes, (guard, value) naming
     the check that forces its grid to double ("phase_jump", "imag",
-    "alias" or "residual"), or the QuasiLevyError it raised.  A member
-    leaves the stack at the guard it fails.  Elementwise steps and the FFTs
-    along the grid axes run on the whole stack and give each member the
-    bits of its grid alone; every sum is taken per member, with the
-    expression of a single grid, as a reduction along a stacked axis may
-    add in another order.
+    "alias" or "residual"), or ZeroOnPath.  A member leaves the stack at
+    the guard it fails.  Elementwise steps and the FFTs along the grid axes
+    run on the whole stack and give each member the bits of its grid
+    alone; every sum but the windings', rounded to whole turns, is taken
+    per member with the expression of a single grid, as a reduction along
+    a stacked axis may add in another order.
     """
     d, n = q.ndim - 1, q.shape[1]
     out = [None] * len(q)
@@ -287,7 +287,7 @@ def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
     for r in rows[~live]:
         out[r] = ZeroOnPath("torus lift vanishes on the sampling grid")
     if not live.all():
-        rows, q, tol, g, mods = rows[live], q[live], tol[live], g[live], mods[live]
+        rows, q, g, mods = rows[live], q[live], g[live], mods[live]
     if not len(rows):
         return out
     dphis = []
@@ -299,20 +299,15 @@ def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
     live = ~(jump >= 0.5 * math.pi)
     for r, value in zip(rows[~live], jump[~live].tolist()):
         out[r] = ("phase_jump", value)
-
-    # Windings from the axis loops through the origin of each grid.
-    windings = np.zeros((len(rows), d), dtype=int)
-    for s in np.flatnonzero(live):
-        try:
-            windings[s] = [_turns(dphi[s][tuple(slice(None) if i == j else 0 for i in range(d))])
-                           for j, dphi in enumerate(dphis)]
-        except StepTooCoarse as exc:
-            out[rows[s]], live[s] = exc, False
     if not live.all():
-        rows, q, tol, mods, windings = rows[live], q[live], tol[live], mods[live], windings[live]
+        rows, q, mods = rows[live], q[live], mods[live]
         dphis = [dphi[live] for dphi in dphis]
     if not len(rows):
         return out
+    # windings of the axis loops through the origin; every step is below pi/2, so a loop sum is whole turns to n ulps
+    loop_sums = [dphi[(slice(None),) + tuple(slice(None) if i == j else 0 for i in range(d))].sum(axis=1)
+                 for j, dphi in enumerate(dphis)]
+    windings = np.rint(np.stack(loop_sums, axis=1) / TWO_PI).astype(int)
 
     # The continuous phase runs from the origin along the last axis, then the one
     # before, and so on: an exclusive cumsum along axis j over the slab where axes < j sit at 0.
@@ -364,15 +359,15 @@ def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
             out[r], live[s] = ("imag", max_imag[s]), False  # phase-unwrap fault
             continue
         alias_mass = float(np.sum(mags[s][outer]))
-        if alias_mass > tol[s]:
+        if alias_mass > tol:
             out[r], live[s] = ("alias", alias_mass), False
             continue
         passed.append((float(np.sum(mags[s][drop[s]])) + alias_mass, max_imag[s]))
         masked[(s,) + (0,) * d] = -float(np.sum(coeffs.real[s][keep[s]]))
     del mags, drop
     if not live.all():
-        rows, q, tol, windings, coeffs, keep, masked = (
-            rows[live], q[live], tol[live], windings[live], coeffs[live], keep[live], masked[live])
+        rows, q, windings, coeffs, keep, masked = (
+            rows[live], q[live], windings[live], coeffs[live], keep[live], masked[live])
         theta_sum = None if theta_sum is None else theta_sum[live]
     if not len(rows):
         return out
@@ -391,7 +386,7 @@ def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
     gap = np.abs(gap)
     for s, (r, (tail, imag_max)) in enumerate(zip(rows, passed)):
         residual = float(np.sum(gap[s]))
-        if residual > tol[s]:
+        if residual > tol:
             out[r] = ("residual", residual)
         else:
             weights = (freqs[np.argwhere(keep[s])], coeffs.real[s][keep[s]])
@@ -399,13 +394,13 @@ def _extract_pass(q: np.ndarray, tol: np.ndarray) -> list:
     return out
 
 
-def _extract_grids(members: list, params: list) -> list:
+def _extract_grids(members: list, params: TripletParams) -> list:
     """Run every member's passes, a stack of grids at a time, until each clears every guard or fails.
 
-    members holds each member's integer coords (K, r) and masses (K,).
-    The pending members are grouped by (r, n); a group runs as stacks of
-    at most min(GRID_BUDGET, n_max^r) points, n_max the largest of the
-    group, so that no stack outgrows the largest grid one of its members
+    members holds each member's integer coords (K, r) and masses (K,); one
+    params holds for all of them.  The pending members are grouped by
+    (r, n); a group runs as stacks of at most min(GRID_BUDGET, n_max^r)
+    points, so that no stack outgrows the largest grid one of its members
     may reach alone.  Only the members whose pass failed a guard go on,
     on grids twice as fine.  Returns per member (windings,
     (frequency vectors (k, r), their weights), tail, diagnostics), or the
@@ -414,31 +409,28 @@ def _extract_grids(members: list, params: list) -> list:
     """
     out = [None] * len(members)
     passes = [[] for _ in members]
-    grid_n = [p.initial_n(m.shape[1], int((m.max(axis=0) - m.min(axis=0)).max()))
-              for (m, _), p in zip(members, params)]
+    grid_n = [params.initial_n(m.shape[1], int((m.max(axis=0) - m.min(axis=0)).max())) for m, _ in members]
     pending = range(len(members))
     while pending:
         groups: dict = {}
         for k in pending:
             n, d = grid_n[k], members[k][0].shape[1]
-            if n > params[k].n_max:
-                out[k] = NonConvergent(f"triplet extraction did not converge by n_max={params[k].n_max}")
+            if n > params.n_max:
+                out[k] = NonConvergent(f"triplet extraction did not converge by n_max={params.n_max}")
             elif n ** d > GRID_BUDGET:
                 out[k] = NonConvergent(f"grid {n}^{d} exceeds the grid budget of {GRID_BUDGET} points")
             else:
                 groups.setdefault((d, n), []).append(k)
         pending = []
         for (d, n), group in groups.items():
-            # no stack outgrows the largest grid a member of its group may reach alone
-            per_stack = min(GRID_BUDGET, max(params[k].n_max for k in group) ** d) // n ** d
+            per_stack = min(GRID_BUDGET, params.n_max ** d) // n ** d
             for lo in range(0, len(group), per_stack):
                 stack = group[lo:lo + per_stack]
                 q = np.zeros((len(stack),) + (n,) * d)
                 for s, k in enumerate(stack):
                     coords, masses = members[k]
                     np.add.at(q[s], tuple((coords % n).T), masses)
-                tol = np.array([params[k].tol for k in stack])
-                for k, outcome in zip(stack, _extract_pass(q, tol)):
+                for k, outcome in zip(stack, _extract_pass(q, params.tol)):
                     if isinstance(outcome, QuasiLevyError):
                         out[k] = outcome
                     elif outcome[0] is None:
@@ -473,20 +465,18 @@ def _truncation_tail(input_tv_error: float, ell1: float) -> float:
 
 def extract_triplets(
     laws: Sequence[DiscreteLaw],
-    params: Sequence[Optional[TripletParams]],
+    params: Optional[TripletParams] = None,
     input_tv_error: float = 0.0,
 ) -> list[QuasiTriplet | QuasiLevyError]:
-    """Triplets of separated laws, over any basis, extracted together.
+    """Triplets of separated laws, over any basis, extracted together under one params (None: the defaults).
 
-    params holds one TripletParams (or None, the defaults) per law, as
-    many as there are laws (ValueError otherwise).  Each law is certified
-    first, in order, under its params.separation when it is given.
-    Otherwise the certificate only proves inf |f| > 0, at the tiny gap of
-    PROOF_OF_SEPARATION: it is not tightened toward the sampled infimum,
-    so its mu may lie far below it (certify_separation, or check-s, gives
-    the tight one).  Either way it is kept as diagnostics["certificate"].
-    The first law whose certification fails ends the batch: the laws after
-    it are neither certified nor extracted.
+    Each law is certified first, in order, at PROOF_OF_SEPARATION: the
+    certificate only proves inf |f| > 0, which is all the triplet needs.
+    It is not tightened toward the sampled infimum, so its mu may lie far
+    below it (certify_separation, or check-s, gives the tight one).  It is
+    kept as diagnostics["certificate"].  The first law whose certification
+    fails ends the batch: the laws after it are neither certified nor
+    extracted.
     The extraction runs on each law's stored reduction c0 + B Z^r, the
     masses at m, so a grid tracks the spread of m and has r axes.  The
     grids of laws of one rank r and one grid size n are stacked along a
@@ -505,21 +495,20 @@ def extract_triplets(
     the first law whose certification failed.  A law whose extraction
     fails does not stop the others.
     """
-    if len(params) != len(laws):
-        raise ValueError(f"{len(laws)} laws need as many params, got {len(params)}")
-    params = [TripletParams() if p is None else p for p in params]
+    if params is None:
+        params = TripletParams()
     out: list = [None] * len(laws)
     certs, grids = {}, {}  # by law index: its certificate; the laws of rank >= 1 to extract
-    for k, (law, p) in enumerate(zip(laws, params)):
+    for k, law in enumerate(laws):
         try:
-            certs[k] = require_separated(law, PROOF_OF_SEPARATION if p.separation is None else p.separation)
+            certs[k] = require_separated(law, PROOF_OF_SEPARATION)
         except QuasiLevyError as exc:
             out[k] = exc
             break
         _, columns, m, masses = law.reduction()
         if columns:
             grids[k] = (m, masses)
-    extracted = dict(zip(grids, _extract_grids(list(grids.values()), [params[k] for k in grids])))
+    extracted = dict(zip(grids, _extract_grids(list(grids.values()), params)))
     for k, cert in certs.items():
         # a point mass has gamma = c0 and no weights, with no grid to lay
         found = extracted.get(k, ((), (np.zeros((0, 0), int), np.zeros(0)), 0.0,
@@ -560,7 +549,7 @@ def extract_triplet(
     certificate, the reduction and input_tv_error.  Raises the
     QuasiLevyError that its certification or extraction raised.
     """
-    found, = extract_triplets([law], [params], input_tv_error)
+    found, = extract_triplets([law], params, input_tv_error)
     if isinstance(found, QuasiLevyError):
         raise found
     return found
@@ -582,9 +571,6 @@ class MeanMotion:
     estimates: tuple[tuple[float, float], ...]
     deviation_bound: float  # (ell1 + tail) / T majorizes |estimate - exact| at each T
 
-    def final_estimate(self) -> float:
-        return self.estimates[-1][1]
-
 
 def mean_motion(
     law: DiscreteLaw,
@@ -596,8 +582,11 @@ def mean_motion(
     The estimate reads the continued phase of f at each T of the schedule
     (see continued_arg), so it never consults the triplet's weights;
     agreement within (ell1 + tail)/T is a genuine cross-check of gamma.
+    The schedule must be nonempty, of finite positive T (InvalidArgument).
     """
     schedule = sorted(float(t) for t in t_schedule)
+    if not schedule or not all(0.0 < t < math.inf for t in schedule):
+        raise InvalidArgument(f"the schedule needs one or more finite positive T, got {schedule}")
     _, args = continued_arg(law, schedule)
     return MeanMotion(
         exact=float(triplet.gamma_value()),
@@ -608,8 +597,8 @@ def mean_motion(
 
 def gamma_tau(triplet: QuasiTriplet, tau: float) -> float:
     """Mean motion on [0, tau]: gamma + (1/tau) sum lambda_u sin(tau*u)."""
-    if not tau > 0:
-        raise NonpositiveTau(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise NonpositiveTau(f"tau must be finite and positive, got {tau}")
     total = float(triplet.gamma_value())
     for u, lam in zip(triplet.levy_measure.support_floats().tolist(), triplet.levy_measure.given_weights):
         total += lam * math.sin(tau * u) / tau

@@ -493,12 +493,13 @@ class TestExpLogInversion:
 
 
 class TestSeriesControls:
-    def test_diverged_when_max_terms_too_small(self):
-        from quasilevy import Diverged
+    def test_diverged_when_max_terms_too_small(self, monkeypatch):
+        from quasilevy import Diverged, calculus
 
         trip = QuasiTriplet(B1, (0,), {(1,): 3.0})
-        with pytest.raises(Diverged):
-            compound_exp(trip, ExpSeriesParams(tol=1e-12, max_terms=3))
+        monkeypatch.setattr(calculus, "MAX_SERIES_TERMS", 3)
+        with pytest.raises(Diverged, match="within 3 terms"):
+            compound_exp(trip, ExpSeriesParams(tol=1e-12))
 
     def test_d1_diverged_beyond_grid_budget(self):
         from quasilevy import Diverged
@@ -513,5 +514,3 @@ class TestSeriesControls:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ExpSeriesParams(tol=0.0)
-        with pytest.raises(ValueError):
-            ExpSeriesParams(max_terms=0)

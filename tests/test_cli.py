@@ -313,7 +313,9 @@ class TestCliCommands:
          "power_overflows_series", "power_beyond_float_range", "weight_overflows_series",
          "curves_t_max_beyond_budget", "curves_samples_beyond_budget", "emit_curves_beyond_budget",
          "curves_support_beyond_float_range", "trivial_basis_check_s", "trivial_basis_triplet",
-         "grid_samples_a_near_zero", "member_grid_samples_a_near_zero"],
+         "grid_samples_a_near_zero", "member_grid_samples_a_near_zero", "negative_tail_bound",
+         "tail_bound_overflows_error_bound", "tail_bound_overflows_scaled_tail", "non_utf8_law",
+         "deeply_nested_json"],
     )
     def test_bad_input_gives_json_error_not_traceback(self, tmp_path, capsys, monkeypatch, case):
         good = write(tmp_path, "geom.json", jsonio.law_to_json(GEOMETRIC))
@@ -340,6 +342,13 @@ class TestCliCommands:
         # certified separated, with a floor of about 1e-14, yet |f| falls below 1e-13 at theta = pi on the grid
         near_zero = write(tmp_path, "near0.json", {"basis": [1], "atoms": [
             {"coords": [0], "mass": 0.5 + 5e-15}, {"coords": [1], "mass": 0.5 - 5e-15}]})
+        tails = {bound: write(tmp_path, f"tail{bound}.json", {"basis": [1], "gamma_coords": [0], "tail_bound": bound,
+                                                               "lambdas": [{"freq": [1], "value": 0.25}]})
+                 for bound in (-1, 800, 1e308)}
+        non_utf8 = tmp_path / "ff.json"
+        non_utf8.write_bytes(b'{"basis": [1], "atoms": [{"coords": [0], "mass": 1}]}\xff')
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000 + "]" * 100_000)
         if case.endswith("env_tol"):
             monkeypatch.setenv("QUASILEVY_TOL", "nan" if case == "nan_env_tol" else "abc")
         argv, error = {
@@ -375,6 +384,11 @@ class TestCliCommands:
             "trivial_basis_triplet": (["triplet", trivial], "ParseError"),
             "grid_samples_a_near_zero": (["triplet", near_zero], "ZeroOnPath"),
             "member_grid_samples_a_near_zero": (["compact-check", near_zero], "TripletFailed"),
+            "negative_tail_bound": (["reconstruct", tails[-1]], "ParseError"),
+            "tail_bound_overflows_error_bound": (["reconstruct", tails[800]], "Diverged"),
+            "tail_bound_overflows_scaled_tail": (["power", tails[1e308], "--s", "2"], "Diverged"),
+            "non_utf8_law": (["check-s", str(non_utf8)], "ParseError"),
+            "deeply_nested_json": (["check-s", str(nested)], "ParseError"),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -115,25 +115,26 @@ class TestCheckConvergence:
             check_convergence(seq)
 
     def test_limit_certified_once(self, monkeypatch):
-        from quasilevy import charfn, limits
+        from quasilevy import charfn, limits, spectral
 
         calls = []
         certify = charfn.certify_separation
 
         def counting(law, params=None):
-            calls.append((law, params))
+            calls.append(law)
             return certify(law, params)
 
         monkeypatch.setattr(charfn, "certify_separation", counting)  # reached through require_separated
         monkeypatch.setattr(limits, "certify_separation", counting)
         members = tuple(g_member(n) for n in (1, 4, 9))
-        separation = SeparationParams(target_gap=0.95)
-        check_convergence(LawSequence(members, limit=GEOMETRIC), separation=separation)
-        assert len(calls) == 4
-        assert [params for law, params in calls if law is GEOMETRIC] == [separation]
-        # an undecided limit certificate is still refused, under the parameters given for it
+        check_convergence(LawSequence(members, limit=GEOMETRIC))
+        assert len(calls) == 4 and [law for law in calls if law is GEOMETRIC] == [GEOMETRIC]
+        # an undecided limit certificate is refused: this limit has no atom above half the mass,
+        # so one cell cannot decide it
+        spread = DiscreteLaw.from_lattice({0: 0.36, 1: 0.24, 3: 0.24, 4: 0.16})
+        monkeypatch.setattr(spectral, "PROOF_OF_SEPARATION", SeparationParams(target_gap=2.0**-52, max_cells=1))
         with pytest.raises(LimitNotSeparated, match="undecided"):
-            check_convergence(LawSequence(members, limit=GEOMETRIC), separation=SeparationParams(max_cells=1))
+            check_convergence(LawSequence(members, limit=spread))
 
     def test_gamma_mismatch_fails(self):
         shifted = DiscreteLaw.from_lattice(

@@ -10,6 +10,7 @@ from quasilevy import (
     DiscreteLaw,
     FrequencyBasis,
     InvalidArgument,
+    NonConvergent,
     NonpositiveTau,
     NotSeparated,
     QuasiLevyError,
@@ -282,23 +283,65 @@ class TestExtractionSeparation:
     ]
 
     @pytest.mark.parametrize("law", LAWS, ids=["no-dominant-4", "no-dominant-3", "dominant"])
-    def test_proof_of_separation_gives_the_same_triplet(self, law):
-        proved = extract_triplet(law)
-        tight = extract_triplet(law, TripletParams(separation=SeparationParams()))
-        assert jsonio.dumps(jsonio.triplet_to_json(proved)) == jsonio.dumps(jsonio.triplet_to_json(tight))
+    def test_proof_of_separation_gives_the_same_triplet(self, law, monkeypatch):
+        from quasilevy import certify_separation, spectral
+
+        proved, tight = extract_triplet(law), certify_separation(law)
         assert proved.diagnostics["certificate"].is_certified
-        assert (proved.diagnostics["certificate"].search_log["cells"]
-                <= tight.diagnostics["certificate"].search_log["cells"])
+        assert proved.diagnostics["certificate"].search_log["cells"] <= tight.search_log["cells"]
+        # certified at the default gap instead, the law gets the same triplet and that tight certificate
+        monkeypatch.setattr(spectral, "PROOF_OF_SEPARATION", SeparationParams())
+        again = extract_triplet(law)
+        assert jsonio.dumps(jsonio.triplet_to_json(again)) == jsonio.dumps(jsonio.triplet_to_json(proved))
+        assert (jsonio.dumps(jsonio.certificate_to_json(again.diagnostics["certificate"]))
+                == jsonio.dumps(jsonio.certificate_to_json(tight)))
 
     def test_dominant_atom_certifies_at_the_root(self):
         log = extract_triplet(self.LAWS[2]).diagnostics["certificate"].search_log
         assert (log["bound"], log["cells"]) == ("dominant", 1)
 
-    def test_explicit_separation_params_are_honoured(self):
-        params = SeparationParams(target_gap=0.95)
-        cert = extract_triplet(self.LAWS[0], TripletParams(separation=params)).diagnostics["certificate"]
-        assert cert.is_certified
-        assert cert.mu >= 0.95 * cert.best_inf_estimate
+
+class TestShiftedLaws:
+    @staticmethod
+    def shifted(law, v):
+        return DiscreteLaw.from_pairs(law.basis, [(tuple(c + s for c, s in zip(k, v)), m) for k, m in law.atoms.items()])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_an_integer_shift_moves_gamma_and_keeps_the_weights(self, data):
+        # the heavy atom sits anywhere in the support, so the axis loops wind on every axis
+        basis = data.draw(st.sampled_from([B2, B3]))
+        point = st.tuples(*[st.integers(-2, 2)] * basis.d)
+        support = data.draw(st.lists(point, min_size=2, max_size=5, unique=True))
+        p_star = data.draw(st.floats(0.7, 0.95))
+        law = DiscreteLaw.from_pairs(basis, list(zip(support, [p_star] + [(1 - p_star) / (len(support) - 1)]
+                                                     * (len(support) - 1))))
+        v = data.draw(st.tuples(*[st.integers(-9, 9)] * basis.d))
+        moved = self.shifted(law, v)
+        trip = extracted_alone(law, None)
+        for found in (extracted_alone(moved, None), extract_triplets([law, moved])[1]):
+            if isinstance(trip, QuasiLevyError):  # a law that does not extract fails the same way when moved
+                assert seen_by_caller(found) == seen_by_caller(trip)
+                continue
+            assert found.gamma_coords == tuple(g + s for g, s in zip(trip.gamma_coords, v))
+            assert found.lambdas == trip.lambdas and found.tail_bound == trip.tail_bound
+
+    def test_a_law_past_the_grid_budget_fails_the_same_way_when_moved(self):
+        law = DiscreteLaw.from_pairs(B3, [((0, 1, -2), 0.71875), ((0, 0, 0), 0.09375), ((0, 0, 1), 0.09375),
+                                          ((1, 0, 0), 0.09375)])
+        with pytest.raises(NonConvergent, match="grid budget"):
+            extract_triplet(law)
+        moved = self.shifted(law, (5, -3, 7))
+        assert seen_by_caller(extract_triplets([law, moved])[1]) == seen_by_caller(extracted_alone(law, None))
+
+    def test_windings_on_every_axis(self):
+        # the reduced support is Z^3 from the least point (0, 0, 0), and the heavy atom (1, 2, 1) is gamma
+        law = DiscreteLaw.from_pairs(B3, [((0, 0, 0), 0.05), ((1, 0, 0), 0.05), ((0, 1, 0), 0.05),
+                                          ((0, 0, 1), 0.05), ((1, 2, 1), 0.8)])
+        trip = extract_triplet(law)
+        assert trip.diagnostics["winding"] == (1, 2, 1) and trip.gamma_coords == (1, 2, 1)
+        moved = extract_triplets([law, self.shifted(law, (3, -4, 5))])[1]
+        assert moved.gamma_coords == (4, -2, 6) and moved.lambdas == trip.lambdas
 
 
 class TestTripletParams:
@@ -381,28 +424,19 @@ class TestBatchedExtraction:
         alone = [seen_by_caller(extracted_alone(law, params)) for law in laws]
         # the first law that is not certified ends the batch; without such laws, every law is extracted
         cut = next((i for i, seen in enumerate(alone) if seen[0] == "NotSeparated"), len(laws) - 1)
-        assert ([seen_by_caller(found) for found in extract_triplets(laws, [params] * len(laws))]
+        assert ([seen_by_caller(found) for found in extract_triplets(laws, params)]
                 == alone[:cut + 1] + [None] * (len(laws) - cut - 1))
         kept = [(law, seen) for law, seen in zip(laws, alone) if seen[0] != "NotSeparated"]
-        assert ([seen_by_caller(found) for found in extract_triplets([law for law, _ in kept], [params] * len(kept))]
+        assert ([seen_by_caller(found) for found in extract_triplets([law for law, _ in kept], params)]
                 == [seen for _, seen in kept])
         failing = [i for i, (law, seen) in enumerate(zip(laws, alone), start=1) if len(seen) == 2]
         if failing:
             with pytest.raises(TripletFailed) as caught:
-                limits._extract_all(laws, [params] * len(laws))
+                limits._extract_all(laws, params)
             assert caught.value.index == failing[0]
             assert (type(caught.value.cause).__name__, str(caught.value.cause)) == alone[failing[0] - 1]
         else:
-            assert [seen_by_caller(t) for t in limits._extract_all(laws, [params] * len(laws))] == alone
-
-    def test_members_keep_their_own_params(self):
-        # the limit of converge-check joins its members' batch with separation parameters of its own
-        law = DiscreteLaw.from_lattice({0: 0.36, 1: 0.24, 3: 0.24, 4: 0.16})
-        tight = TripletParams(separation=SeparationParams())
-        proved, exact = extract_triplets([law, law], [None, tight])
-        assert seen_by_caller(proved) == seen_by_caller(extract_triplet(law))
-        assert seen_by_caller(exact) == seen_by_caller(extract_triplet(law, tight))
-        assert proved.diagnostics["certificate"].mu < exact.diagnostics["certificate"].mu
+            assert [seen_by_caller(t) for t in limits._extract_all(laws, params)] == alone
 
     def test_stacks_stay_within_the_grid_budget(self, monkeypatch):
         from quasilevy import spectral
@@ -417,12 +451,12 @@ class TestBatchedExtraction:
         monkeypatch.setattr(spectral, "_extract_pass", spy)
         monkeypatch.setattr(spectral, "GRID_BUDGET", 3 * 1024)
         laws = [DiscreteLaw.from_lattice({0: 0.9 - 0.01 * i, 1: 0.1 + 0.01 * i}) for i in range(7)]
-        assert all(isinstance(t, QuasiTriplet) for t in extract_triplets(laws, [None] * 7))
+        assert all(isinstance(t, QuasiTriplet) for t in extract_triplets(laws))
         assert sizes == [(3, 1024), (3, 1024), (1, 1024)]
         sizes.clear()
         # nor beyond the largest grid a member may reach alone, n_max^r points
         monkeypatch.setattr(spectral, "GRID_BUDGET", 1 << 22)
-        assert all(isinstance(t, QuasiTriplet) for t in extract_triplets(laws[:5], [TripletParams(n_max=2048)] * 5))
+        assert all(isinstance(t, QuasiTriplet) for t in extract_triplets(laws[:5], TripletParams(n_max=2048)))
         assert sizes == [(2, 1024), (2, 1024), (1, 1024)]
 
     def test_a_grid_that_samples_a_near_zero_is_zero_on_path(self):
@@ -435,7 +469,7 @@ class TestBatchedExtraction:
             extract_triplet(NEAR_ZERO_LAW)
         for laws, index in (([NEAR_ZERO_LAW], 1), ([self.MIXED[0], NEAR_ZERO_LAW, self.MIXED[2]], 2)):
             with pytest.raises(TripletFailed) as caught:
-                limits._extract_all(laws, [None] * len(laws))
+                limits._extract_all(laws, None)
             assert caught.value.index == index and isinstance(caught.value.cause, ZeroOnPath)
 
     def test_the_first_law_not_certified_ends_the_batch(self, monkeypatch):
@@ -450,7 +484,7 @@ class TestBatchedExtraction:
 
         monkeypatch.setattr(spectral, "require_separated", spy)
         good, zero = self.MIXED[2], self.MIXED[1]
-        first, failed, skipped = extract_triplets([good, zero, good], [None] * 3)
+        first, failed, skipped = extract_triplets([good, zero, good])
         assert isinstance(first, QuasiTriplet) and isinstance(failed, NotSeparated) and skipped is None
         assert certified == [good, zero]
 
@@ -484,6 +518,20 @@ class TestMeanMotion:
         assert mm.exact == 2.0
         assert mm.estimates[-1][1] == pytest.approx(2.0, abs=mm.deviation_bound / 64.0 + 1e-9)
 
+    @pytest.mark.parametrize("schedule", [[0.0], [], [-5.0], [4.0, math.inf], [math.nan]],
+                             ids=["zero", "empty", "negative", "infinite", "nan"])
+    def test_schedule_must_be_finite_and_positive(self, schedule):
+        law = DiscreteLaw.from_lattice({0: 0.7, 1: 0.3})
+        with pytest.raises(InvalidArgument, match="finite positive"):
+            mean_motion(law, triplet_lattice(law), schedule)
+
+
+class TestQuasiTriplet:
+    @pytest.mark.parametrize("bound", [-1.0, -5e-324, math.nan, math.inf])
+    def test_tail_bound_must_be_finite_and_nonnegative(self, bound):
+        with pytest.raises(InvalidArgument, match="tail_bound"):
+            QuasiTriplet(B1, (0,), {(1,): 0.25}, tail_bound=bound)
+
 
 class TestGammaTau:
     def test_empty_lambdas(self):
@@ -503,6 +551,11 @@ class TestGammaTau:
         trip = QuasiTriplet(B1, (0,), {(1,): 1.0})
         with pytest.raises(NonpositiveTau):
             gamma_tau(trip, 0.0)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_tau_must_be_finite(self, tau):
+        with pytest.raises(NonpositiveTau, match="finite and positive"):
+            gamma_tau(QuasiTriplet(B1, (0,), {(1,): 1.0}), tau)
 
     def test_matches_path_argument(self):
         law = geometric_law()
